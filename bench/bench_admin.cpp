@@ -204,9 +204,9 @@ int main() {
   const std::vector<int> library_verdicts = library.classify_all(scripts);
 
   // --- daemon with the admin plane armed ----------------------------------
-  const serve::ServeModel model(artifact_path);
-  serve::ServeOptions opts = model.options();
-  serve::Server server(model, opts);
+  core::ModelView model;
+  model.map_file(artifact_path);
+  serve::Server server(model, {});
   serve::register_build_info(model, artifact_path);
 
   obs::AdminServer admin;

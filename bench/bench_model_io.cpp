@@ -1,19 +1,16 @@
-// Gates the JSRM v3 zero-copy model artifact against the legacy stream
-// loader:
+// Gates the JSRM v3 zero-copy model artifact:
 //
-//   * opening an artifact (map + structural validation, the per-process
-//     serving path) must be >=10x faster than deserializing the stream form
-//     of the same model (hard gate, waived under JSREV_BENCH_ASAN_RELAX —
-//     sanitizer timings are instrumentation-dominated),
-//   * mapped-view verdicts must be bit-identical to the heap detector over
-//     the obfuscated evaluation grid, at thread widths 1, 2, and 8 (hard
-//     gate, timing-independent, always enforced),
-//   * classify throughput heap vs view is reported (expected within noise:
-//     both run the same kernels; shared hardware makes a tight ratio gate
-//     flaky, so the ratio itself is informational),
-//   * resident-set growth of loading the stream model vs mapping the
-//     artifact is reported — the mapped pages are shared page cache, so each
-//     extra serving process pays close to zero private bytes.
+//   * a trusted open (map + structural validation, the steady-state path of
+//     each extra serving process) must be >=10x faster than a
+//     checksum-verified open of the same artifact, which touches every page
+//     once (hard gate, waived under JSREV_BENCH_ASAN_RELAX — sanitizer
+//     timings are instrumentation-dominated),
+//   * mapped-view verdicts must be bit-identical to the trainer's over the
+//     obfuscated evaluation grid, at thread widths 1, 2, and 8 (hard gate,
+//     timing-independent, always enforced),
+//   * resident-set growth of a trusted open is reported — the mapped pages
+//     are shared page cache, so each extra serving process pays close to
+//     zero private bytes.
 //
 // Emits BENCH_model_io.json through the shared envelope (validated by
 // `jsr_stats --validate`).
@@ -71,7 +68,7 @@ int main() {
   const std::size_t train_per_class = bench::env_or("JSREV_BENCH_TRAIN", 120);
   const bool relax_timing = std::getenv("JSREV_BENCH_ASAN_RELAX") != nullptr;
 
-  // --- train once, persist both forms ------------------------------------
+  // --- train once, write the artifact ------------------------------------
   dataset::GeneratorConfig gc;
   gc.seed = 515;
   gc.benign_count = train_per_class;
@@ -84,9 +81,7 @@ int main() {
   trainer.train(dataset::generate_corpus(gc));
 
   const std::string artifact_path = "model_io_bench.jsrm";
-  const std::string stream_path = "model_io_bench.bin";
   trainer.save_artifact_file(artifact_path);
-  trainer.save_file(stream_path);
   std::ifstream sz(artifact_path, std::ios::binary | std::ios::ate);
   const double artifact_mb =
       static_cast<double>(sz.tellg()) / (1024.0 * 1024.0);
@@ -94,22 +89,13 @@ int main() {
   std::printf("bench_model_io: %.1f MiB artifact, best of %zu repeats\n",
               artifact_mb, repeats);
 
-  // --- open cost: stream deserialization vs artifact map ------------------
-  // Three variants, best-of-N each: the legacy stream parse (rebuilds every
-  // heap structure), a checksum-verified map (touches every page once to
-  // FNV it), and the trusted open (header + section table + index bounds
-  // only) — the steady-state path of each extra serving process once the
-  // artifact has been verified at publish time.
-  double stream_ms = 0.0, verified_ms = 0.0, trusted_ms = 0.0;
-  const std::size_t rss_before_stream = resident_bytes();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    core::JsRevealer det{core::Config{}};
-    Timer t;
-    det.load_file(stream_path);
-    const double ms = t.elapsed_ms();
-    if (r == 0 || ms < stream_ms) stream_ms = ms;
-  }
-  const std::size_t rss_after_stream = resident_bytes();
+  // --- open cost: checksum-verified vs trusted -----------------------------
+  // Best-of-N each: a checksum-verified map (touches every page once to FNV
+  // it — what a first open of an unvetted file costs) and the trusted open
+  // (header + section table + index bounds only) — the steady-state path of
+  // each extra serving process once the artifact has been verified at
+  // publish time.
+  double verified_ms = 0.0, trusted_ms = 0.0;
   for (std::size_t r = 0; r < repeats; ++r) {
     core::ModelView view;
     Timer t;
@@ -129,61 +115,34 @@ int main() {
   view.map_file(artifact_path, /*verify_checksums=*/false);
   const std::size_t rss_after_map = resident_bytes();
 
-  const double open_speedup = trusted_ms > 0.0 ? stream_ms / trusted_ms : 0.0;
-  const double verified_speedup =
-      verified_ms > 0.0 ? stream_ms / verified_ms : 0.0;
-  const double stream_rss_mb =
-      static_cast<double>(rss_after_stream - rss_before_stream) /
-      (1024.0 * 1024.0) / static_cast<double>(repeats);
-  const double map_rss_mb =
-      static_cast<double>(rss_after_map - rss_before_map) /
-      (1024.0 * 1024.0);
+  const double open_speedup = trusted_ms > 0.0 ? verified_ms / trusted_ms : 0.0;
+  // Signed: the resident set can shrink between the two samples.
+  const double map_rss_mb = (static_cast<double>(rss_after_map) -
+                             static_cast<double>(rss_before_map)) /
+                            (1024.0 * 1024.0);
 
   std::printf("open cost (best of %zu):\n", repeats);
-  std::printf("  stream load        %9.3f ms  (~%.1f MiB private heap/proc)\n",
-              stream_ms, stream_rss_mb);
-  std::printf("  artifact verified  %9.3f ms  (%.1fx vs stream)\n",
-              verified_ms, verified_speedup);
-  std::printf("  artifact trusted   %9.3f ms  (%.1fx vs stream, ~%.1f MiB "
+  std::printf("  artifact verified  %9.3f ms\n", verified_ms);
+  std::printf("  artifact trusted   %9.3f ms  (%.1fx vs verified, ~%.1f MiB "
               "private)\n",
               trusted_ms, open_speedup, map_rss_mb);
 
   // --- verdict bit-identity across widths (the hard gate) -----------------
   const std::vector<std::string> scripts =
       build_eval_scripts(bench::env_or("JSREV_BENCH_CORPUS", 60));
-  const std::vector<int> heap_verdicts = trainer.classify_all(scripts);
+  const std::vector<int> trainer_verdicts = trainer.classify_all(scripts);
   bool identical = true;
   for (const std::size_t threads :
        {std::size_t(1), std::size_t(2), std::size_t(8)}) {
     view.set_threads(threads);
-    if (view.classify_all(scripts) != heap_verdicts) {
+    if (view.classify_all(scripts) != trainer_verdicts) {
       identical = false;
       std::printf("FAIL: mapped verdicts diverge at threads=%zu\n", threads);
     }
   }
-  std::printf("verdict bit-identity heap vs mapped (widths 1/2/8, %zu "
+  std::printf("verdict bit-identity trainer vs mapped (widths 1/2/8, %zu "
               "scripts): %s\n",
               scripts.size(), identical ? "ok" : "FAIL");
-
-  // --- classify throughput heap vs view ----------------------------------
-  view.set_threads(1);
-  double heap_ms = 0.0, view_ms = 0.0;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    Timer t;
-    (void)trainer.classify_all(scripts);
-    const double ms = t.elapsed_ms();
-    if (r == 0 || ms < heap_ms) heap_ms = ms;
-  }
-  for (std::size_t r = 0; r < repeats; ++r) {
-    Timer t;
-    (void)view.classify_all(scripts);
-    const double ms = t.elapsed_ms();
-    if (r == 0 || ms < view_ms) view_ms = ms;
-  }
-  const double throughput_ratio = heap_ms > 0.0 ? view_ms / heap_ms : 0.0;
-  std::printf("classify %zu scripts: heap %.1f ms, mapped %.1f ms "
-              "(mapped/heap = %.2f, expected ~1.0)\n",
-              scripts.size(), heap_ms, view_ms, throughput_ratio);
 
   // --- envelope -----------------------------------------------------------
   obs::JsonWriter w;
@@ -192,16 +151,10 @@ int main() {
       .kv("eval_scripts", static_cast<std::uint64_t>(scripts.size()))
       .kv("repeats", static_cast<std::uint64_t>(repeats))
       .kv_fixed("artifact_mib", artifact_mb, 2)
-      .kv_fixed("stream_load_ms", stream_ms, 3)
       .kv_fixed("artifact_open_verified_ms", verified_ms, 3)
       .kv_fixed("artifact_open_trusted_ms", trusted_ms, 3)
       .kv_fixed("open_speedup_trusted", open_speedup, 2)
-      .kv_fixed("open_speedup_verified", verified_speedup, 2)
-      .kv_fixed("stream_private_mib_per_proc", stream_rss_mb, 2)
       .kv_fixed("mapped_private_mib_per_proc", map_rss_mb, 2)
-      .kv_fixed("classify_heap_ms", heap_ms, 2)
-      .kv_fixed("classify_mapped_ms", view_ms, 2)
-      .kv_fixed("classify_ratio", throughput_ratio, 3)
       .kv("verdicts_bit_identical", identical)
       .kv("timing_gate_relaxed", relax_timing)
       .end_object();
@@ -215,11 +168,12 @@ int main() {
     return 1;
   }
   if (!relax_timing && open_speedup < kRequiredOpenSpeedup) {
-    std::printf("GATE FAIL: artifact open %.1fx vs stream, need >=%.0fx\n",
+    std::printf("GATE FAIL: trusted open %.1fx vs verified, need >=%.0fx\n",
                 open_speedup, kRequiredOpenSpeedup);
     return 1;
   }
-  std::printf("gates ok: bit-identical verdicts, open %.1fx faster%s\n",
+  std::printf("gates ok: bit-identical verdicts, trusted open %.1fx "
+              "faster%s\n",
               open_speedup, relax_timing ? " (timing gate relaxed)" : "");
   return 0;
 }

@@ -177,9 +177,9 @@ int main() {
   }
 
   // --- daemon over a socketpair -------------------------------------------
-  const serve::ServeModel model(artifact_path);
-  serve::ServeOptions opts = model.options();
-  serve::Server server(model, opts);
+  core::ModelView model;
+  model.map_file(artifact_path);
+  serve::Server server(model, {});
 
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {

@@ -91,8 +91,7 @@ ResultGrid run_grid(const HarnessConfig& cfg,
     analyzed.reserve(conditions.size());
     for (const dataset::Corpus& condition : conditions) {
       analyzed.push_back(detect::analyze_corpus(
-          condition, cfg.jsrevealer.threads, cfg.jsrevealer.parse_limits,
-          cfg.deobfuscate));
+          condition, cfg.jsrevealer.threads, {}, cfg.deobfuscate));
     }
 
     for (const auto& factory : factories) {

@@ -13,6 +13,7 @@
 
 #include "core/family_classifier.h"
 #include "core/jsrevealer.h"
+#include "core/model_view.h"
 #include "dataset/generator.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -60,31 +61,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Train or load from the model cache (persistence keeps repeat scans at
-  // millisecond startup).
-  const char* cache_path = "/tmp/jsrevealer_model.bin";
+  // Map the cached artifact, or train and cache one (a mapped artifact keeps
+  // repeat scans at millisecond startup).
+  const char* cache_path = "/tmp/jsrevealer_model.jsrm";
   dataset::GeneratorConfig gc;
   gc.benign_count = 250;
   gc.malicious_count = 250;
   const dataset::Corpus corpus = dataset::generate_corpus(gc);
-  core::JsRevealer detector(core::Config{});
-  bool loaded = false;
+  core::ModelView detector;
   try {
-    detector.load_file(cache_path);
-    loaded = true;
-    std::fprintf(stderr, "loaded cached model from %s\n", cache_path);
+    detector.map_file(cache_path);
+    std::fprintf(stderr, "mapped cached model from %s\n", cache_path);
   } catch (const std::exception&) {
     // No (valid) cache: train fresh.
-  }
-  if (!loaded) {
     std::fprintf(stderr, "training detector...\n");
-    detector.train(corpus);
+    core::JsRevealer trainer(core::Config{});
+    trainer.train(corpus);
     try {
-      detector.save_file(cache_path);
+      trainer.save_artifact_file(cache_path);
       std::fprintf(stderr, "cached model at %s\n", cache_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "warning: could not cache model: %s\n", e.what());
     }
+    detector.from_buffer(trainer.save_artifact());
   }
   core::FamilyClassifier families;
   families.train(detector, corpus);

@@ -92,20 +92,18 @@ echo "== bench_ast_layout smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_REPEATS=1 JSREV_BENCH_ASAN_RELAX=1 \
     ./bench/bench_ast_layout)
 
-# Model-artifact lifecycle under sanitizers: train a small model, write the
-# legacy (v1) stream form, convert it to a JSRM artifact, and verify the
-# converted bytes are identical to the artifact the trainer writes directly —
-# the convert path must lose nothing. `inspect` re-reads the result (header,
-# section table, checksum pass) and `classify` exercises the mapped
+# Model-artifact lifecycle under sanitizers: train the same small model at
+# parallel widths 1 and 4 and verify the two artifacts are byte-identical —
+# training is deterministic at any width. `inspect` re-reads the result
+# (header, section table, checksum pass) and `classify` exercises the mapped
 # zero-copy inference path end to end.
-echo "== jsr_model convert-and-verify (ASan+UBSan)"
-"${BUILD_DIR}/tools/jsr_model" train --scripts 16 --seed 5 \
-    --out "${BUILD_DIR}/check_model.jsrm" \
-    --legacy-stream "${BUILD_DIR}/check_model_legacy.bin"
-"${BUILD_DIR}/tools/jsr_model" convert "${BUILD_DIR}/check_model_legacy.bin" \
-    "${BUILD_DIR}/check_model_converted.jsrm"
-cmp "${BUILD_DIR}/check_model.jsrm" "${BUILD_DIR}/check_model_converted.jsrm"
-echo "jsr_model: legacy-stream conversion is byte-identical"
+echo "== jsr_model cross-width train-and-verify (ASan+UBSan)"
+"${BUILD_DIR}/tools/jsr_model" train --scripts 16 --seed 5 --threads 1 \
+    --out "${BUILD_DIR}/check_model.jsrm"
+"${BUILD_DIR}/tools/jsr_model" train --scripts 16 --seed 5 --threads 4 \
+    --out "${BUILD_DIR}/check_model_w4.jsrm"
+cmp "${BUILD_DIR}/check_model.jsrm" "${BUILD_DIR}/check_model_w4.jsrm"
+echo "jsr_model: artifacts trained at widths 1 and 4 are byte-identical"
 "${BUILD_DIR}/tools/jsr_model" inspect "${BUILD_DIR}/check_model.jsrm" \
     > /dev/null
 "${BUILD_DIR}/tools/jsr_model" classify "${BUILD_DIR}/check_model.jsrm" \

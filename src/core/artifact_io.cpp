@@ -1,5 +1,7 @@
 // JSRM v3 artifact writer: serializes a trained JsRevealer into the
-// page-aligned, checksummed section layout of core/model_format.h.
+// page-aligned, checksummed section layout of core/model_format.h. train()
+// writes it once and attaches its owned ModelView to the bytes; the save
+// calls hand out those same bytes.
 //
 // The writer gathers every parameter block in its flat training-time form
 // (the vocabulary's three buffers verbatim, the attention matrices' backing
@@ -55,23 +57,15 @@ void add_vector_section(std::vector<std::uint8_t>* buf,
 
 }  // namespace
 
-std::vector<std::uint8_t> JsRevealer::save_artifact() const {
-  if (!trained_) {
-    throw std::logic_error("JsRevealer::save_artifact: detector is not trained");
-  }
+std::vector<std::uint8_t> JsRevealer::write_artifact() const {
+  // Flatten the forest and the interpretability index up front; every other
+  // block already lives in its serialized form. Other classifier kinds get
+  // an empty forest (zero trees, offsets {0}).
   const auto* forest =
       dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  if (forest == nullptr) {
-    throw std::logic_error(
-        "JsRevealer::save_artifact: persistence supports the random-forest "
-        "classifier only");
-  }
-
-  // Flatten the forest and the interpretability index up front; every other
-  // block already lives in its serialized form.
   std::vector<ml::ForestNodeRec> forest_nodes;
-  std::vector<std::uint32_t> forest_offsets;
-  forest->export_flat(&forest_nodes, &forest_offsets);
+  std::vector<std::uint32_t> forest_offsets{0};
+  if (forest != nullptr) forest->export_flat(&forest_nodes, &forest_offsets);
 
   std::string central_blob;
   std::vector<std::uint32_t> central_offsets;
@@ -96,7 +90,7 @@ std::vector<std::uint8_t> JsRevealer::save_artifact() const {
   hdr.clusters_removed = static_cast<std::uint32_t>(clusters_removed_);
   hdr.vocab_size = static_cast<std::uint32_t>(vocab_.size());
   hdr.vocab_table_size = static_cast<std::uint32_t>(vocab_.table().size());
-  hdr.n_trees = static_cast<std::uint32_t>(forest->tree_count());
+  hdr.n_trees = static_cast<std::uint32_t>(forest_offsets.size() - 1);
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
   hdr.max_vocab = cfg_.max_vocab;
@@ -147,8 +141,25 @@ std::vector<std::uint8_t> JsRevealer::save_artifact() const {
   return buf;
 }
 
+std::span<const std::uint8_t> JsRevealer::artifact_bytes() const {
+  if (!trained_) {
+    throw std::logic_error("JsRevealer::save_artifact: detector is not trained");
+  }
+  if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
+    throw std::logic_error(
+        "JsRevealer::save_artifact: persistence supports the random-forest "
+        "classifier only");
+  }
+  return {view_.data_, view_.size_};
+}
+
+std::vector<std::uint8_t> JsRevealer::save_artifact() const {
+  const std::span<const std::uint8_t> bytes = artifact_bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
 void JsRevealer::save_artifact_file(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = save_artifact();
+  const std::span<const std::uint8_t> bytes = artifact_bytes();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
   out.write(reinterpret_cast<const char*>(bytes.data()),

@@ -9,18 +9,12 @@
 
 #include <cstdint>
 
-#include "js/parse_limits.h"
 #include "ml/classifier.h"
 #include "paths/path_extraction.h"
 
 namespace jsrev::core {
 
 struct Config {
-  // Frontend resource guards (recursion depth, source bytes, token count).
-  // Exceeding a limit surfaces as an ordinary parse failure, which the
-  // unparseable ⇒ malicious convention then classifies — never a crash.
-  js::ParseLimits parse_limits;
-
   // Path extraction (paper Section III-B; paper values 12/4).
   paths::PathConfig path;
 

@@ -12,7 +12,7 @@ FamilyClassifier::FamilyClassifier(std::size_t threads) : threads_(threads) {
   forest_ = ml::MulticlassRandomForest(fc);
 }
 
-std::size_t FamilyClassifier::train(const JsRevealer& detector,
+std::size_t FamilyClassifier::train(const ModelView& detector,
                                     const dataset::Corpus& corpus) {
   label_.clear();
   families_.clear();
@@ -61,7 +61,7 @@ std::size_t FamilyClassifier::train(const JsRevealer& detector,
   return used;
 }
 
-std::string FamilyClassifier::classify(const JsRevealer& detector,
+std::string FamilyClassifier::classify(const ModelView& detector,
                                        const std::string& source) const {
   if (!trained_) return {};
   std::vector<double> f;
@@ -76,7 +76,7 @@ std::string FamilyClassifier::classify(const JsRevealer& detector,
              : std::string();
 }
 
-double FamilyClassifier::evaluate(const JsRevealer& detector,
+double FamilyClassifier::evaluate(const ModelView& detector,
                                   const dataset::Corpus& corpus) const {
   std::size_t correct = 0, total = 0;
   for (const auto& s : corpus.samples) {
@@ -89,7 +89,7 @@ double FamilyClassifier::evaluate(const JsRevealer& detector,
 }
 
 std::vector<std::vector<double>> FamilyClassifier::confusion(
-    const JsRevealer& detector, const dataset::Corpus& corpus) const {
+    const ModelView& detector, const dataset::Corpus& corpus) const {
   const std::size_t k = families_.size();
   std::vector<std::vector<double>> m(k, std::vector<double>(k, 0.0));
   std::vector<std::size_t> row_totals(k, 0);

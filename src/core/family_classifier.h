@@ -1,17 +1,19 @@
 // Malware family classification — the paper's stated future-work extension
 // ("our future work will add a JavaScript malware family component").
 //
-// Reuses a trained JsRevealer's cluster-feature space: a multiclass random
-// forest is trained over the feature vectors of the MALICIOUS training
-// samples with their family labels. At inference the binary detector
-// decides malicious/benign; this component names the family.
+// Reuses a trained model's cluster-feature space (a JsRevealer's view(), or
+// a mapped artifact): a multiclass random forest is trained over the feature
+// vectors of the MALICIOUS training samples with their family labels. At
+// inference the binary detector decides malicious/benign; this component
+// names the family.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/jsrevealer.h"
+#include "core/model_view.h"
+#include "dataset/corpus.h"
 #include "ml/multiclass_forest.h"
 
 namespace jsrev::core {
@@ -24,26 +26,26 @@ class FamilyClassifier {
   explicit FamilyClassifier(std::size_t threads = 1);
 
   /// Trains on the malicious subset of `corpus` using the feature space of
-  /// an already-trained detector. Samples with empty family tags are
+  /// a trained model. Samples with empty family tags are
   /// skipped. Returns the number of training samples used.
-  std::size_t train(const JsRevealer& detector, const dataset::Corpus& corpus);
+  std::size_t train(const ModelView& detector, const dataset::Corpus& corpus);
 
   /// Predicts the family name of a (presumed malicious) script. Returns an
   /// empty string if the classifier was never trained.
-  std::string classify(const JsRevealer& detector,
+  std::string classify(const ModelView& detector,
                        const std::string& source) const;
 
   /// Family names in label order.
   const std::vector<std::string>& families() const { return families_; }
 
   /// Top-1 accuracy over the malicious samples of a labeled corpus.
-  double evaluate(const JsRevealer& detector,
+  double evaluate(const ModelView& detector,
                   const dataset::Corpus& corpus) const;
 
   /// Row-normalized confusion matrix (families x families) over the
   /// malicious samples of `corpus`.
   std::vector<std::vector<double>> confusion(
-      const JsRevealer& detector, const dataset::Corpus& corpus) const;
+      const ModelView& detector, const dataset::Corpus& corpus) const;
 
  private:
   int label_of(const std::string& family) const {

@@ -1,12 +1,13 @@
-// Cluster-membership featurization shared by the heap-trained JsRevealer
-// and the mmap-backed ModelView.
+// Cluster-membership featurization shared by JsRevealer's training stage and
+// ModelView's inference.
 //
 // ClusterParams is a borrowed view over the trained cluster geometry as flat
 // arrays (centroid matrix, RMS radii, and the per-centroid benign-origin
 // bitset in its packed u64 form). cluster_features() is the single
-// implementation of paper Section III-D's attention-mass accumulation; both
-// detector forms call it with pointers into their own storage, so heap and
-// mapped feature vectors are bit-identical by construction.
+// implementation of paper Section III-D's attention-mass accumulation: the
+// trainer calls it over its own storage to build the training matrix, the
+// view over the artifact's bytes, so training and inference rows are
+// computed identically.
 #pragma once
 
 #include <cstdint>

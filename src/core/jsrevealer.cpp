@@ -53,27 +53,11 @@ std::vector<paths::PathContext> JsRevealer::extract(
 
   if (timed) {
     std::lock_guard<std::mutex> lock(timing_mu_);
-    // take_parse_cost: the parse is booked by its first claimant only, so a
-    // warm (already-parsed) analysis contributes a zero sample instead of
-    // re-booking work that did not run in this batch.
     timings_.parse.add(analysis.take_parse_cost());
     timings_.enhanced_ast.add(ast_ms);
     timings_.path_traversal.add(traverse_ms);
   }
-  if (obs::VerdictProvenance* prov = analysis.provenance()) {
-    prov->stage_ms.parse = analysis.parse_ms();
-    prov->stage_ms.enhanced_ast = ast_ms;
-    prov->stage_ms.path_traversal = traverse_ms;
-  }
   return pcs;
-}
-
-std::vector<std::int32_t> JsRevealer::to_ids(
-    const std::vector<paths::PathContext>& pcs) const {
-  std::vector<std::int32_t> ids;
-  ids.reserve(pcs.size());
-  for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
-  return ids;
 }
 
 void JsRevealer::train(const dataset::Corpus& corpus) {
@@ -97,8 +81,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     obs::Span span("core.train.extract", "core");
     Timer t_wall;
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
-      const analysis::ScriptAnalysis a(corpus.samples[i].source,
-                                       cfg_.parse_limits,
+      const analysis::ScriptAnalysis a(corpus.samples[i].source, {},
                                        cfg_.deobfuscate);
       try {
         extracted[i] = extract(a, /*timed=*/true);
@@ -326,7 +309,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // Cluster-membership features, then (when enabled) the per-script lint
   // summary tail. Both land in disjoint row slots, so the fan-out keeps the
   // bit-identical-at-any-width guarantee.
-  trained_ = true;  // featurize() needs the centroids from here on
   ml::Matrix x(n_samples, feature_dim_ + lint_dim_);
   std::vector<int> y(n_samples);
   {
@@ -352,12 +334,20 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   timings_.classifier_train.add(t_fit.elapsed_ms() /
                                 std::max<std::size_t>(1, x.rows()));
   timings_.classifier_train.add_wall(t_fit.elapsed_ms());
+
+  // ---- Stage 6: attach the owned view every inference call runs through --
+  // The bytes were checksummed as they were written, so the attach skips
+  // the verification pass.
+  view_.from_buffer(write_artifact(), /*verify_checksums=*/false);
+  view_.classifier_ = classifier_.get();
+  view_.set_threads(cfg_.threads);
+  trained_ = true;
 }
 
 std::vector<double> JsRevealer::features_from_embedding(
-    const ml::EmbeddedScript& emb, obs::VerdictProvenance* prov) const {
-  // Shared kernel over this detector's own storage — the same code a mapped
-  // ModelView runs, so heap and artifact feature vectors are bit-identical.
+    const ml::EmbeddedScript& emb) const {
+  // The kernel a ModelView runs at inference, over this detector's own
+  // storage: training rows and inference rows are computed identically.
   ClusterParams p;
   p.centroids = centroids_.data().data();
   p.radius = centroid_radius_.data();
@@ -365,135 +355,65 @@ std::vector<double> JsRevealer::features_from_embedding(
   p.feature_dim = static_cast<std::uint32_t>(feature_dim_);
   p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
   p.binary_features = cfg_.binary_cluster_features;
-  return cluster_features(p, emb, prov);
+  return cluster_features(p, emb);
+}
+
+void JsRevealer::book_stages(const analysis::ScriptAnalysis& analysis,
+                             const obs::StageDurationsMs& ms,
+                             bool predicted) const {
+  std::lock_guard<std::mutex> lock(timing_mu_);
+  // take_parse_cost: the parse is booked by its first claimant only, so a
+  // warm (already-parsed) analysis contributes a zero sample instead of
+  // re-booking work that did not run in this batch.
+  timings_.parse.add(analysis.take_parse_cost());
+  timings_.enhanced_ast.add(ms.enhanced_ast);
+  timings_.path_traversal.add(ms.path_traversal);
+  timings_.embedding.add(ms.embedding);
+  if (predicted) timings_.classifying.add(ms.classify);
 }
 
 std::vector<double> JsRevealer::featurize(const std::string& source) const {
-  return featurize(
-      analysis::ScriptAnalysis(source, cfg_.parse_limits, cfg_.deobfuscate));
+  return featurize(analysis::ScriptAnalysis(source, {}, cfg_.deobfuscate));
 }
 
 std::vector<double> JsRevealer::featurize(
     const analysis::ScriptAnalysis& analysis) const {
-  obs::VerdictProvenance* prov = analysis.provenance();
-  const auto pcs = extract(analysis, /*timed=*/true);
-
-  Timer t_embed;
-  const auto ids = to_ids(pcs);
-  ml::EmbeddedScript emb = model_.embed(ids);
-  const double embed_ms = t_embed.elapsed_ms();
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.embedding.add(embed_ms);
-  }
-
-  std::vector<double> f = features_from_embedding(emb, prov);
-  if (lint_dim_ != 0) {
-    // Shares the analysis' memoized AST/scope/data-flow with extract():
-    // the lint tail costs no second parse.
-    Timer t_lint;
-    const lint::LintResult lr = linter_.lint(analysis);
-    const std::vector<double> lf = lint::lint_feature_vector(lr);
-    f.insert(f.end(), lf.begin(), lf.end());
-    if (prov != nullptr) {
-      prov->stage_ms.lint = t_lint.elapsed_ms();
-      prov->lint_malice_diags = 0;
-      prov->lint_hygiene_diags = 0;
-      prov->lint_rules_fired.clear();
-      for (const lint::Diagnostic& diag : lr.diagnostics) {
-        if (diag.category == lint::Category::kMalice) {
-          ++prov->lint_malice_diags;
-        } else {
-          ++prov->lint_hygiene_diags;
-        }
-        prov->lint_rules_fired.push_back(diag.rule_id);
-      }
-      std::sort(prov->lint_rules_fired.begin(), prov->lint_rules_fired.end());
-      prov->lint_rules_fired.erase(
-          std::unique(prov->lint_rules_fired.begin(),
-                      prov->lint_rules_fired.end()),
-          prov->lint_rules_fired.end());
-    }
-  }
-  if (prov != nullptr) {
-    prov->source_bytes = analysis.source().size();
-    prov->path_count = pcs.size();
-    prov->known_path_count = static_cast<std::size_t>(
-        std::count_if(ids.begin(), ids.end(),
-                      [](std::int32_t id) { return id >= 0; }));
-    prov->stage_ms.embedding = embed_ms;
-    prov->train_clusters_removed = clusters_removed_;
-  }
-  scaler_.transform_row(f.data());
+  obs::StageDurationsMs ms;
+  std::vector<double> f = view_.featurize_timed(analysis, &ms);
+  book_stages(analysis, ms, /*predicted=*/false);
   return f;
 }
 
 int JsRevealer::classify(const std::string& source) const {
-  return classify(
-      analysis::ScriptAnalysis(source, cfg_.parse_limits, cfg_.deobfuscate));
+  return classify(analysis::ScriptAnalysis(source, {}, cfg_.deobfuscate));
 }
 
 int JsRevealer::classify(const analysis::ScriptAnalysis& analysis) const {
   obs::Span span("core.classify", "core");
-  obs::VerdictProvenance* prov = analysis.provenance();
-  if (prov != nullptr) {
-    prov->detector = name();
-    prov->source_bytes = analysis.source().size();
-    prov->train_clusters_removed = clusters_removed_;
-  }
-  if (!trained_) {
-    if (prov != nullptr) prov->verdict = 1;
-    return record_verdict(1);
-  }
-  const int verdict = analysis.classify_or_malicious([&]() -> int {
-    try {
-      const std::vector<double> f = featurize(analysis);
-      Timer t;
-      const int v = classifier_->predict(f.data());
-      const double predict_ms = t.elapsed_ms();
-      {
-        std::lock_guard<std::mutex> lock(timing_mu_);
-        timings_.classifying.add(predict_ms);
-      }
-      if (prov != nullptr) prov->stage_ms.classify = predict_ms;
-      return v;
-    } catch (const std::exception&) {
-      return 1;  // degenerate input that survives the parse → same verdict
-    }
-  });
-  if (prov != nullptr) {
-    prov->verdict = verdict;
-    prov->parse_failed = analysis.parse_failed();
-    if (prov->parse_failed) {
-      prov->parse_error = analysis.parse_error();
-      prov->parse_limit_trip = analysis.parse_limit_trip();
-    }
-  }
+  std::optional<obs::StageDurationsMs> ms;
+  const int verdict = view_.classify_timed(analysis, name(), &ms);
+  if (ms) book_stages(analysis, *ms, /*predicted=*/true);
   return record_verdict(verdict);
 }
 
 obs::VerdictProvenance JsRevealer::explain(const std::string& source) const {
-  analysis::ScriptAnalysis analysis(source, cfg_.parse_limits,
-                                    cfg_.deobfuscate);
+  analysis::ScriptAnalysis analysis(source, {}, cfg_.deobfuscate);
   analysis.enable_provenance();
   classify(analysis);
   return *analysis.provenance();
 }
 
-std::vector<int> JsRevealer::classify_all(
-    const std::vector<std::string>& sources) const {
-  // Inference is read-only on the trained model (classify/featurize are
-  // const and internally synchronized on the timing sink), so scripts fan
-  // out independently with verdicts written to disjoint slots.
-  std::vector<int> verdicts(sources.size(), 1);
+template <typename Item>
+std::vector<int> JsRevealer::classify_batch(std::size_t n, Item item) const {
+  std::vector<int> verdicts(n, 1);
   obs::Span span("core.classify_all", "core");
   {
     std::lock_guard<std::mutex> lock(timing_mu_);
     timings_.reset_inference();  // this batch's stages only (see StageTimings)
   }
   Timer t_wall;
-  parallel_for_threads(cfg_.threads, sources.size(), [&](std::size_t i) {
-    verdicts[i] = classify(sources[i]);
+  parallel_for_threads(cfg_.threads, n, [&](std::size_t i) {
+    verdicts[i] = classify(item(i));
   });
   {
     std::lock_guard<std::mutex> lock(timing_mu_);
@@ -503,22 +423,17 @@ std::vector<int> JsRevealer::classify_all(
 }
 
 std::vector<int> JsRevealer::classify_all(
-    const analysis::AnalyzedCorpus& corpus) const {
-  std::vector<int> verdicts(corpus.size(), 1);
-  obs::Span span("core.classify_all", "core");
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.reset_inference();  // this batch's stages only (see StageTimings)
-  }
-  Timer t_wall;
-  parallel_for_threads(cfg_.threads, corpus.size(), [&](std::size_t i) {
-    verdicts[i] = classify(*corpus.scripts[i]);
+    const std::vector<std::string>& sources) const {
+  return classify_batch(sources.size(), [&](std::size_t i) -> const auto& {
+    return sources[i];
   });
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.classifying.add_wall(t_wall.elapsed_ms());
-  }
-  return verdicts;
+}
+
+std::vector<int> JsRevealer::classify_all(
+    const analysis::AnalyzedCorpus& corpus) const {
+  return classify_batch(corpus.size(), [&](std::size_t i) -> const auto& {
+    return *corpus.scripts[i];
+  });
 }
 
 ml::Metrics JsRevealer::evaluate(const dataset::Corpus& corpus) const {
@@ -583,8 +498,7 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
         if (s.label != label) return;
         std::vector<paths::PathContext> pcs;
         try {
-          const analysis::ScriptAnalysis a(s.source, cfg_.parse_limits,
-                                           cfg_.deobfuscate);
+          const analysis::ScriptAnalysis a(s.source, {}, cfg_.deobfuscate);
           pcs = extract(a, /*timed=*/false);
         } catch (const std::exception&) {
           return;

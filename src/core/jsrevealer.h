@@ -1,17 +1,25 @@
 // JSRevealer: the paper's detector (path extraction → path embedding →
 // feature extraction → classification), implementing detect::Detector so it
 // slots into the same evaluation harness as the baselines.
+//
+// JsRevealer is the trainer. train() ends by writing the JSRM artifact
+// (core/model_format.h) to memory and attaching an owned core::ModelView
+// over it; featurize, classify, explain and classify_all forward to that
+// view, so the detector that trained a model and every process that maps its
+// artifact run one inference implementation.
 #pragma once
 
-#include <iosfwd>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "baselines/detector.h"
 #include "core/config.h"
 #include "core/feature_ops.h"
+#include "core/model_view.h"
 #include "lint/linter.h"
 #include "ml/attention_model.h"
 #include "ml/kmeans.h"
@@ -77,8 +85,7 @@ class JsRevealer final : public detect::Detector {
 
   /// Batch prediction: classifies every source, fanning out per script at
   /// the configured thread width. Verdicts are identical to calling
-  /// classify() per source (featurization and the trained model are
-  /// read-only at inference).
+  /// classify() per source (the view is read-only at inference).
   std::vector<int> classify_all(const std::vector<std::string>& sources) const;
   /// Parse-once batch prediction over pre-built analyses.
   std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const;
@@ -100,9 +107,9 @@ class JsRevealer final : public detect::Detector {
   /// cfg.run_outlier_selection is set).
   ml::OutlierMethod outlier_method() const { return outlier_method_; }
 
-  /// The pipeline configuration this detector runs with (serving layers
-  /// mirror its parse limits / deobfuscate flag into their own analyses).
-  const Config& config() const { return cfg_; }
+  /// The owned view over this detector's own artifact (unloaded until
+  /// train()). Consumers of the feature space (FamilyClassifier) take it.
+  const ModelView& view() const { return view_; }
 
   /// Top-`n` features by random-forest importance, with their central paths
   /// (Table VII). Only valid after train() with the random-forest classifier.
@@ -114,10 +121,8 @@ class JsRevealer final : public detect::Detector {
   /// is obs::VerdictProvenance::to_json() (surfaced by `jsr_stats --explain`).
   obs::VerdictProvenance explain(const std::string& source) const;
 
-  /// Feature vector for one script (exposed for tests/inspection). Parses
-  /// exactly once even with lint features on: the string overload builds
-  /// one ScriptAnalysis whose AST/scope/data-flow artifacts are shared by
-  /// path extraction and the lint tail.
+  /// Feature vector for one script (exposed for tests/inspection); see
+  /// ModelView::featurize.
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
@@ -129,49 +134,42 @@ class JsRevealer final : public detect::Detector {
   std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
                                 int k_lo, int k_hi);
 
-  /// Trained-model persistence (vocabulary, embedding model, clusters,
-  /// scaler, and classifier — random-forest classifiers only). save()
-  /// throws std::logic_error if untrained or using another classifier kind;
-  /// load() replaces this detector's state entirely.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
-  void save_file(const std::string& path) const;
-  void load_file(const std::string& path);
-
-  /// Legacy stream emit (v1 without lint features, v2 with): the exact
-  /// pre-v3 byte layout, kept so the tolerant reader and the artifact
-  /// conversion path stay covered by tests and `jsr_model convert`.
-  void save_legacy(std::ostream& out) const;
-
-  /// Serializes the trained model as a JSRM v3 artifact (core/model_format.h):
+  /// The trained model as a JSRM v3 artifact (core/model_format.h):
   /// page-aligned sections with per-section checksums, mappable read-only by
-  /// core::ModelView. Bytes are deterministic for a deterministic model.
-  /// Same preconditions as save().
+  /// core::ModelView — the bytes the owned view already holds. Deterministic
+  /// for a deterministic model. Throws std::logic_error if untrained or
+  /// trained with a classifier other than the random forest.
   std::vector<std::uint8_t> save_artifact() const;
   void save_artifact_file(const std::string& path) const;
 
  private:
-  struct ScriptFeatures {
-    std::vector<std::int32_t> path_ids;
-  };
-
-  /// Extracts path contexts from a shared analysis (forcing its data-flow
-  /// artifacts as needed); throws std::runtime_error on parse failure.
+  /// Training-time path extraction from a shared analysis (forcing its
+  /// data-flow artifacts as needed); throws std::runtime_error on parse
+  /// failure.
   std::vector<paths::PathContext> extract(
       const analysis::ScriptAnalysis& analysis, bool timed) const;
 
-  std::vector<std::int32_t> to_ids(
-      const std::vector<paths::PathContext>& pcs) const;
-
   /// Cluster-membership features (attention weight accumulated per cluster)
-  /// for an embedded script, before scaling. When `prov` is non-null the
-  /// per-cluster mass and the outside-every-cluster path count land in it.
+  /// of a training script, before scaling.
   std::vector<double> features_from_embedding(
-      const ml::EmbeddedScript& emb,
-      obs::VerdictProvenance* prov = nullptr) const;
+      const ml::EmbeddedScript& emb) const;
 
-  /// Shared body of save()/save_legacy().
-  void save_stream(std::ostream& out, bool legacy) const;
+  /// Serializes the trained parameters. Any classifier kind: a non-forest
+  /// model gets an empty forest (its view predicts with classifier_).
+  std::vector<std::uint8_t> write_artifact() const;
+
+  /// The view's bytes, after save_artifact()'s preconditions.
+  std::span<const std::uint8_t> artifact_bytes() const;
+
+  /// Books one inference request's stage durations (as the view reported
+  /// them) into timings_; `predicted` adds the classifying sample.
+  void book_stages(const analysis::ScriptAnalysis& analysis,
+                   const obs::StageDurationsMs& ms, bool predicted) const;
+
+  /// classify_all body over `n` items: per-batch timing reset, fan-out at
+  /// cfg_.threads, wall booked on the classifying stage.
+  template <typename Item>
+  std::vector<int> classify_batch(std::size_t n, Item item) const;
 
   Config cfg_;
   lint::Linter linter_;
@@ -190,6 +188,7 @@ class JsRevealer final : public detect::Detector {
   ml::OutlierMethod outlier_method_ = ml::OutlierMethod::kFastAbod;
   ml::MinMaxScaler scaler_;
   std::unique_ptr<ml::Classifier> classifier_;
+  ModelView view_;  // owned view over this detector's artifact
   mutable StageTimings timings_;
   mutable std::mutex timing_mu_;
   bool trained_ = false;

@@ -1,5 +1,5 @@
-// JSRM v3 model artifact: the on-disk layout of a trained JsRevealer as an
-// immutable, mmap-able binary.
+// JSRM v3 model artifact: the only persisted form of a trained JsRevealer,
+// an immutable, mmap-able binary.
 //
 //   [ArtifactHeader][SectionRec x section_count][...payloads...]
 //
@@ -14,8 +14,8 @@
 // verify them before trusting any pointer, so a truncated or bit-flipped
 // artifact surfaces as ser::ModelFormatError, never as a wild read.
 //
-// The layout (like the legacy stream format) stores native little-endian
-// scalars; big-endian hosts are out of scope for the mapped path.
+// The layout stores native little-endian scalars; big-endian hosts are out of
+// scope.
 #pragma once
 
 #include <cstdint>

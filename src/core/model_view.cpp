@@ -171,6 +171,7 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   size_ = size;
   header_ = hdr;
   sections_ = std::move(sections);
+  classifier_ = nullptr;  // a newly attached artifact predicts with its forest
   struct Rollback {
     ModelView* v;
     bool armed = true;
@@ -324,7 +325,7 @@ ArtifactInfo ModelView::info() const {
 }
 
 // ---------------------------------------------------------------------------
-// Inference (mirrors JsRevealer's heap path through the shared kernels)
+// Inference
 
 void ModelView::train(const dataset::Corpus&) {
   throw std::logic_error(
@@ -338,29 +339,51 @@ std::vector<double> ModelView::featurize(const std::string& source) const {
 
 std::vector<double> ModelView::featurize(
     const analysis::ScriptAnalysis& analysis) const {
+  obs::StageDurationsMs ms;
+  return featurize_timed(analysis, &ms);
+}
+
+std::vector<double> ModelView::featurize_timed(
+    const analysis::ScriptAnalysis& analysis,
+    obs::StageDurationsMs* ms) const {
+  if (!loaded()) {
+    throw std::logic_error("ModelView: no artifact attached");
+  }
   if (analysis.parse_failed()) {
     throw std::runtime_error(analysis.parse_error());
   }
-  obs::VerdictProvenance* prov = analysis.provenance();
+  ms->parse = analysis.parse_ms();
+
+  // Forcing dataflow() is free when another consumer (lint, a second
+  // detector) already materialized it on the shared analysis; the sampled
+  // cost is then near zero.
+  Timer t_ast;
   const analysis::DataFlowInfo* flow =
       path_cfg_.use_dataflow ? &analysis.dataflow() : nullptr;
+  ms->enhanced_ast = t_ast.elapsed_ms();
+
+  Timer t_paths;
   const auto pcs = paths::extract_paths(analysis.root(), flow, path_cfg_);
+  ms->path_traversal = t_paths.elapsed_ms();
 
   Timer t_embed;
   std::vector<std::int32_t> ids;
   ids.reserve(pcs.size());
   for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
   ml::EmbeddedScript emb = ml::embed_paths(attn_, ids);
-  const double embed_ms = t_embed.elapsed_ms();
+  ms->embedding = t_embed.elapsed_ms();
 
+  obs::VerdictProvenance* prov = analysis.provenance();
   std::vector<double> f = cluster_features(cluster_, emb, prov);
   if (header_.lint_dim != 0) {
+    // Shares the analysis' memoized AST/scope/data-flow with the path
+    // extraction above: the lint tail costs no second parse.
     Timer t_lint;
     const lint::LintResult lr = linter_.lint(analysis);
     const std::vector<double> lf = lint::lint_feature_vector(lr);
     f.insert(f.end(), lf.begin(), lf.end());
+    ms->lint = t_lint.elapsed_ms();
     if (prov != nullptr) {
-      prov->stage_ms.lint = t_lint.elapsed_ms();
       prov->lint_malice_diags = 0;
       prov->lint_hygiene_diags = 0;
       prov->lint_rules_fired.clear();
@@ -385,8 +408,8 @@ std::vector<double> ModelView::featurize(
     prov->known_path_count = static_cast<std::size_t>(
         std::count_if(ids.begin(), ids.end(),
                       [](std::int32_t id) { return id >= 0; }));
-    prov->stage_ms.embedding = embed_ms;
     prov->train_clusters_removed = header_.clusters_removed;
+    prov->stage_ms = *ms;
   }
   ml::scale_row(f.data(), scaler_min_, scaler_max_, f.size());
   return f;
@@ -398,22 +421,32 @@ int ModelView::classify(const std::string& source) const {
 }
 
 int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
+  return record_verdict(classify_timed(analysis, name(), nullptr));
+}
+
+int ModelView::classify_timed(
+    const analysis::ScriptAnalysis& analysis, const std::string& detector,
+    std::optional<obs::StageDurationsMs>* stages) const {
   obs::VerdictProvenance* prov = analysis.provenance();
   if (prov != nullptr) {
-    prov->detector = name();
+    prov->detector = detector;
     prov->source_bytes = analysis.source().size();
     prov->train_clusters_removed = header_.clusters_removed;
   }
   if (!loaded()) {
     if (prov != nullptr) prov->verdict = 1;
-    return record_verdict(1);
+    return 1;  // fail closed: no model, no benign verdicts
   }
   const int verdict = analysis.classify_or_malicious([&]() -> int {
     try {
-      const std::vector<double> f = featurize(analysis);
+      obs::StageDurationsMs ms;
+      const std::vector<double> f = featurize_timed(analysis, &ms);
       Timer t;
-      const int v = forest_.predict(f.data());
-      if (prov != nullptr) prov->stage_ms.classify = t.elapsed_ms();
+      const int v = classifier_ != nullptr ? classifier_->predict(f.data())
+                                           : forest_.predict(f.data());
+      ms.classify = t.elapsed_ms();
+      if (prov != nullptr) prov->stage_ms.classify = ms.classify;
+      if (stages != nullptr) *stages = ms;
       return v;
     } catch (const std::exception&) {
       return 1;  // degenerate input that survives the parse → same verdict
@@ -427,7 +460,7 @@ int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
       prov->parse_limit_trip = analysis.parse_limit_trip();
     }
   }
-  return record_verdict(verdict);
+  return verdict;
 }
 
 std::vector<int> ModelView::classify_all(

@@ -1,17 +1,20 @@
-// Immutable, zero-copy inference over a mapped JSRM model artifact.
+// Immutable, zero-copy inference over a JSRM model artifact — the only
+// inference code in the repository.
 //
-// ModelView is the read-only half of the trainer/view split: JsRevealer
-// trains and writes the artifact (core/artifact_io.cpp); ModelView maps it
-// and classifies straight out of the mapped bytes. No parameter is parsed
-// into owned storage — the vocabulary probe table, attention matrices,
-// cluster geometry, scaler bounds, and forest node pool are all borrowed
-// pointers into the mapping, so N detector processes sharing one artifact
-// share one page cache copy, and opening a model costs validation (header,
-// section table, checksums, index bounds) instead of deserialization.
+// JsRevealer trains, writes the artifact (core/artifact_io.cpp), and
+// attaches an owned ModelView over those bytes; its featurize, classify and
+// explain forward here. A serving process maps the same artifact from disk.
+// No parameter is parsed into owned storage — the vocabulary probe table,
+// attention matrices, cluster geometry, scaler bounds, and forest node pool
+// are all borrowed pointers into the mapping, so N detector processes
+// sharing one artifact share one page cache copy, and opening a model costs
+// validation (header, section table, checksums, index bounds) instead of
+// deserialization.
 //
-// Verdicts are bit-identical to the JsRevealer that wrote the artifact: the
-// view calls the same raw-pointer kernels (ml/model_view_ops.h,
-// core/feature_ops.h) the heap detector delegates to, over the same values.
+// The last step of classify is the predict call: the artifact's forest for a
+// mapped model, the trainer's own classifier for JsRevealer's view (so Table
+// II's non-forest classifiers run on the same feature vector). A mapped view
+// therefore classifies bit-identically to the JsRevealer that wrote it.
 //
 // Aliasing contract: a ModelView keeps its backing storage (the mapped file
 // or the from_buffer copy) alive through a shared_ptr, so copies of the view
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +40,7 @@
 #include "core/model_format.h"
 #include "js/parse_limits.h"
 #include "lint/linter.h"
+#include "ml/classifier.h"
 #include "ml/model_view_ops.h"
 #include "paths/path_extraction.h"
 #include "paths/vocab.h"
@@ -90,7 +95,7 @@ class ModelView final : public detect::Detector {
 
   bool loaded() const { return data_ != nullptr; }
 
-  /// Immutable: training is the heap detector's job.
+  /// Immutable: training is JsRevealer's job.
   void train(const dataset::Corpus& corpus) override;
 
   int classify(const std::string& source) const override;
@@ -102,12 +107,15 @@ class ModelView final : public detect::Detector {
   std::vector<int> classify_all(const std::vector<std::string>& sources) const;
   std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const;
 
-  /// Provenance-capturing classification (same record JsRevealer::explain
-  /// fills, modulo the detector name and stage timings).
+  /// Classifies `source` with provenance capture on and returns the filled
+  /// record: verdict, frontend outcome, path/vocabulary counts, per-cluster
+  /// attention mass, lint rule hits, and all six per-stage durations. The
+  /// JSON shape is obs::VerdictProvenance::to_json().
   obs::VerdictProvenance explain(const std::string& source) const;
 
-  /// Feature vector for one script — bit-identical to the writer's
-  /// JsRevealer::featurize.
+  /// Feature vector for one script (scaled, lint tail included). Throws
+  /// std::runtime_error when the script does not parse and
+  /// std::logic_error when no artifact is attached.
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
@@ -121,9 +129,9 @@ class ModelView final : public detect::Detector {
   std::size_t threads() const { return threads_; }
   void set_threads(std::size_t n) { threads_ = n; }
 
-  /// Inference configuration reconstructed from the artifact header —
-  /// serving layers build their ScriptAnalysis with exactly these values so
-  /// externally-built analyses classify bit-identically to classify(source).
+  /// Frontend configuration for building ScriptAnalysis inputs that classify
+  /// bit-identically to classify(source): the default limits (an artifact
+  /// records none) and the header's deobfuscate flag.
   const js::ParseLimits& parse_limits() const { return parse_limits_; }
   bool deobfuscate() const { return deobfuscate_; }
 
@@ -141,6 +149,22 @@ class ModelView final : public detect::Detector {
   }
 
  private:
+  friend class JsRevealer;  // trains into an owned view (see classifier_)
+
+  /// The one featurize body: fills `ms` with the parse, enhanced-AST, path
+  /// traversal, embedding and lint durations, and the provenance record
+  /// when the analysis captures one.
+  std::vector<double> featurize_timed(const analysis::ScriptAnalysis& analysis,
+                                      obs::StageDurationsMs* ms) const;
+
+  /// The one classify body, without booking the verdict (callers book it
+  /// under their own name()). `detector` is the name provenance records.
+  /// When the script was featurized and predicted, its stage durations land
+  /// in `*stages` (may be null).
+  int classify_timed(const analysis::ScriptAnalysis& analysis,
+                     const std::string& detector,
+                     std::optional<obs::StageDurationsMs>* stages) const;
+
   void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,
               std::size_t size, bool verify_checksums);
   const std::uint8_t* section_payload(fmt::SectionId id,
@@ -165,11 +189,17 @@ class ModelView final : public detect::Detector {
   const std::uint32_t* central_offsets_ = nullptr;
   const char* central_blob_ = nullptr;
 
-  // Inference configuration reconstructed from the header.
+  // Inference configuration reconstructed from the header (the parse limits
+  // are always the defaults).
   paths::PathConfig path_cfg_;
   js::ParseLimits parse_limits_;
   bool deobfuscate_ = false;
   std::size_t threads_ = 0;
+
+  // The predict step of JsRevealer's own view: the owning trainer's
+  // classifier. Null for a mapped model, which predicts with the artifact's
+  // forest.
+  const ml::Classifier* classifier_ = nullptr;
 
   lint::Linter linter_;
 };

@@ -12,8 +12,10 @@
 //
 // Defaults are deliberately generous — orders of magnitude above anything the
 // corpus generator or the obfuscators emit — so they only trip on inputs that
-// would genuinely endanger the process. Override per-pipeline through
-// core::Config::parse_limits.
+// would genuinely endanger the process. The detector pipeline always runs the
+// defaults (a JSRM artifact does not record limits, so a trainer and a view
+// of its artifact classify alike); per-call overrides go through js::parse
+// and analysis::ScriptAnalysis.
 #pragma once
 
 #include <cstddef>

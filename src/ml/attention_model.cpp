@@ -194,9 +194,9 @@ EmbeddedScript AttentionModel::embed(
   static obs::Counter* embeds =
       obs::metrics().counter("ml.attention.embed_calls");
   embeds->add();
-  // Inference goes through the shared raw-pointer kernel — the same code a
-  // mapped ModelView runs — so heap and artifact embeddings are
-  // bit-identical by construction.
+  // Goes through the shared raw-pointer kernel — the same code a ModelView
+  // runs — so training-time and artifact embeddings are bit-identical by
+  // construction.
   AttentionParams p;
   p.w = w_.data().data();
   p.attn = attn_.data();

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/matrix.h"
@@ -71,10 +70,6 @@ class AttentionModel {
 
   /// Embedding of a single vocabulary entry (column of W through tanh).
   std::vector<double> path_embedding(std::int32_t path_id) const;
-
-  /// Model persistence (parameters + dimensions; training state excluded).
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
   // Flat parameter access for the artifact writer (serialized verbatim; the
   // mapped ModelView reads the same layout back zero-copy).

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -36,10 +35,6 @@ class DecisionTree : public Classifier {
   /// Fits on a row subset (bootstrap support for the forest).
   void fit_subset(const Matrix& x, const std::vector<int>& y,
                   const std::vector<std::size_t>& rows);
-
-  /// Tree persistence (structure + leaf probabilities + importances).
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
   /// Appends this tree's nodes (build order, tree-relative child indices)
   /// to a flat ForestNodeRec pool.
@@ -88,10 +83,6 @@ class RandomForest : public Classifier {
 
   /// Normalized mean-decrease-impurity importances (sums to 1).
   std::vector<double> feature_importances() const;
-
-  /// Forest persistence.
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
   std::size_t tree_count() const { return trees_.size(); }
   std::size_t feature_count() const { return n_features_; }

@@ -147,8 +147,8 @@ Clustering finalize(const Matrix& points, const Matrix& centroids,
 }  // namespace
 
 int nearest_centroid(const Matrix& centroids, const double* point) {
-  // Shared with the mmap-backed ModelView so heap and mapped inference run
-  // the identical scan.
+  // Shared with ModelView so training and artifact inference run the
+  // identical scan.
   return nearest_centroid_raw(centroids.data().data(), centroids.rows(),
                               centroids.cols(), point);
 }

@@ -1,13 +1,13 @@
-// Raw-pointer inference kernels shared by the heap-trained models and the
-// mmap-backed ModelView.
+// Raw-pointer inference kernels shared by the training-time models and
+// core::ModelView.
 //
 // Every parameter block here is a borrowed view over flat little-endian
-// arrays — either the training-time std::vector storage or bytes mapped
-// straight from a JSRM model artifact. The heap classes (AttentionModel,
-// RandomForest, MinMaxScaler) delegate their inference paths to these
-// kernels over their own storage, so a mapped model is bit-identical to the
-// in-memory one by construction: both run the same floating-point
-// operations in the same order on the same values.
+// arrays — either the training-time std::vector storage or the bytes of a
+// JSRM model artifact. The training classes (AttentionModel, RandomForest,
+// MinMaxScaler) delegate to these kernels over their own storage, so the
+// feature rows a model is trained on and the rows its artifact computes at
+// inference run the same floating-point operations in the same order on the
+// same values.
 #pragma once
 
 #include <cstdint>

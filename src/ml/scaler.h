@@ -2,7 +2,6 @@
 #pragma once
 
 #include <algorithm>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/matrix.h"
@@ -46,10 +45,6 @@ class MinMaxScaler {
     transform(x);
     return x;
   }
-
-  /// Scaler persistence (per-feature min/max).
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
   // Flat parameter access for the artifact writer.
   const std::vector<double>& fitted_min() const { return min_; }

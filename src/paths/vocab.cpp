@@ -1,11 +1,7 @@
 #include "paths/vocab.h"
 
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
-
-#include "util/serialize.h"
 
 namespace jsrev::paths {
 
@@ -62,37 +58,6 @@ std::int32_t PathVocab::add(const PathContext& pc) {
     insert_into_table(id);
   }
   return static_cast<std::int32_t>(id);
-}
-
-void PathVocab::save(std::ostream& out) const {
-  ser::write_tag(out, "VOCB");
-  ser::write_u64(out, entries_.size());
-  const PathVocabView v = view();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const auto id = static_cast<std::int32_t>(i);
-    ser::write_string(out, std::string(v.source_value(id)));
-    ser::write_string(out, std::string(v.path_value(id)));
-    ser::write_string(out, std::string(v.target_value(id)));
-  }
-}
-
-void PathVocab::load(std::istream& in) {
-  ser::expect_tag(in, "VOCB");
-  const std::uint64_t n = ser::read_u64(in);
-  blob_.clear();
-  entries_.clear();
-  table_.clear();
-  entries_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    PathContext pc;
-    pc.source_value = ser::read_string(in);
-    pc.path = ser::read_string(in);
-    pc.target_value = ser::read_string(in);
-    const std::int32_t id = add(pc);
-    if (static_cast<std::uint64_t>(id) != i) {
-      throw ser::FormatError("vocabulary contains duplicate path keys");
-    }
-  }
 }
 
 }  // namespace jsrev::paths

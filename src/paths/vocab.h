@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,7 +138,7 @@ class PathVocab {
   /// Interns a path key; grows the vocabulary (training-time use).
   std::int32_t add(const PathContext& pc);
 
-  /// Looks up without growing (inference-time use). kUnknown if absent.
+  /// Looks up without growing. kUnknown if absent.
   std::int32_t lookup(const PathContext& pc) const {
     return view().lookup(pc);
   }
@@ -168,11 +167,6 @@ class PathVocab {
   const std::string& blob() const { return blob_; }
   const std::vector<VocabEntryRec>& entries() const { return entries_; }
   const std::vector<std::uint32_t>& table() const { return table_; }
-
-  /// Vocabulary persistence (entries in id order; the legacy stream format,
-  /// unchanged from v1 models — the probe table is rebuilt on load).
-  void save(std::ostream& out) const;
-  void load(std::istream& in);
 
  private:
   void insert_into_table(std::uint32_t id);

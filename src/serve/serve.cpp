@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -11,79 +10,15 @@
 #include "analysis/script_analysis.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "util/serialize.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/version.h"
 
 namespace jsrev::serve {
 
-// ---------------------------------------------------------------------------
-// ServeModel
-
-ServeModel::ServeModel(const std::string& path) {
-  try {
-    auto view = std::make_unique<core::ModelView>();
-    view->map_file(path);
-    view_ = std::move(view);
-    return;
-  } catch (const ser::ModelFormatError&) {
-    // Not a v3 artifact — fall through to the stream loader.
-  }
-  try {
-    auto heap = std::make_unique<core::JsRevealer>();
-    heap->load_file(path);
-    heap_ = std::move(heap);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("cannot open model '" + path +
-                             "' as artifact or stream: " + e.what());
-  }
-}
-
-std::string ServeModel::name() const {
-  return view_ != nullptr ? view_->name() : heap_->name();
-}
-
-int ServeModel::classify(const analysis::ScriptAnalysis& analysis) const {
-  return view_ != nullptr ? view_->classify(analysis)
-                          : heap_->classify(analysis);
-}
-
-js::ParseLimits ServeModel::parse_limits() const {
-  return view_ != nullptr ? view_->parse_limits()
-                          : heap_->config().parse_limits;
-}
-
-bool ServeModel::deobfuscate() const {
-  return view_ != nullptr ? view_->deobfuscate() : heap_->config().deobfuscate;
-}
-
-ServeOptions ServeModel::options() const {
-  ServeOptions opts;
-  opts.limits = parse_limits();
-  opts.deobfuscate = deobfuscate();
-  return opts;
-}
-
-std::string ServeModel::format() const {
-  return view_ != nullptr ? "jsrm-mapped" : "stream";
-}
-
-std::uint32_t ServeModel::format_version() const {
-  return view_ != nullptr ? view_->info().header.version : 0;
-}
-
-std::size_t ServeModel::lint_dim() const {
-  return view_ != nullptr ? view_->info().header.lint_dim
-                          : heap_->lint_feature_count();
-}
-
-std::size_t ServeModel::feature_count() const {
-  return view_ != nullptr ? view_->feature_count() : heap_->feature_count();
-}
-
-void register_build_info(const ServeModel& model,
+void register_build_info(const core::ModelView& model,
                          const std::string& model_path) {
+  const core::fmt::ArtifactHeader hdr = model.info().header;
   auto& reg = obs::metrics();
   reg.gauge("build_info", {{"version", kVersionString}},
             {obs::Unit::kCount, false,
@@ -91,9 +26,9 @@ void register_build_info(const ServeModel& model,
       ->set(1);
   reg.gauge("model_info",
             {{"path", model_path},
-             {"format", model.format()},
-             {"format_version", std::to_string(model.format_version())},
-             {"lint_dim", std::to_string(model.lint_dim())},
+             {"format", "jsrm-mapped"},
+             {"format_version", std::to_string(hdr.version)},
+             {"lint_dim", std::to_string(hdr.lint_dim)},
              {"deobfuscate", model.deobfuscate() ? "on" : "off"}},
             {obs::Unit::kCount, false,
              "Served model identity; value is always 1, identity in labels"})
@@ -115,7 +50,7 @@ std::vector<double> millis_bounds() {
 
 }  // namespace
 
-Batcher::Batcher(const ServeModel& model, ServeOptions opts)
+Batcher::Batcher(const core::ModelView& model, ServeOptions opts)
     : model_(model), opts_(opts) {
   auto& reg = obs::metrics();
   requests_ = reg.counter("serve.requests");
@@ -251,7 +186,8 @@ void Batcher::run_batch(std::vector<Pending> batch) {
     const Timer t;
     for (std::size_t i = 0; i < n; ++i) {
       analyses[i] = std::make_unique<analysis::ScriptAnalysis>(
-          std::move(batch[i].req.source), opts_.limits, opts_.deobfuscate);
+          std::move(batch[i].req.source), model_.parse_limits(),
+          model_.deobfuscate());
       if (batch[i].req.want_provenance) analyses[i]->enable_provenance();
     }
     parallel_for_threads(opts_.threads, n, [&](std::size_t i) {

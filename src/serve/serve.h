@@ -1,14 +1,9 @@
 // Batching classification core of the jsr_serve daemon.
 //
-// Three pieces, deliberately free of socket code so tests and benches drive
-// them in-process (the fd plumbing lives in serve/server.h):
-//
-//  * ServeModel — one serving handle over the two detector flavors: it opens
-//    a path as a mapped JSRM v3 artifact (core::ModelView, the zero-copy
-//    path) and falls back to the legacy stream loader (core::JsRevealer)
-//    when the file is not an artifact. Classification and provenance go
-//    through whichever half loaded; parse limits and the deobfuscate flag
-//    are mirrored out so callers build bit-identical ScriptAnalysis inputs.
+// Deliberately free of socket code so tests and benches drive it in-process
+// (the fd plumbing lives in serve/server.h). The model is a core::ModelView
+// over a mapped JSRM artifact; parse limits and the deobfuscate flag come
+// from it, so daemon verdicts are bit-identical to the view's classify().
 //
 //  * Batcher — the CASCADE-shaped serving loop: producers enqueue requests,
 //    one worker coalesces whatever is pending (capped at max_batch) and runs
@@ -42,9 +37,7 @@
 #include <string>
 #include <thread>
 
-#include "core/jsrevealer.h"
 #include "core/model_view.h"
-#include "js/parse_limits.h"
 #include "obs/metrics.h"
 
 namespace jsrev::serve {
@@ -56,65 +49,18 @@ struct ServeOptions {
   std::size_t max_batch = 64;
   /// Queue capacity; submissions beyond it are rejected immediately.
   std::size_t max_queue = 4096;
-  /// Frontend resource bounds; max_source_bytes doubles as the frame payload
-  /// cap. Defaulted from the model's own limits by ServeModel::options().
-  js::ParseLimits limits;
-  /// Normalize scripts through src/deob before classification (defaulted
-  /// from the model).
-  bool deobfuscate = false;
   /// Requests whose enqueue→completion latency reaches this many
   /// milliseconds draw a structured serve.slow_request log record carrying
   /// the request id. 0 disables the check.
   double slow_ms = 0.0;
 };
 
-/// One serving handle over a mapped artifact or a legacy stream model.
-class ServeModel {
- public:
-  /// Opens `path`: first as a JSRM v3 artifact (mapped read-only,
-  /// zero-copy), then — when that raises ser::ModelFormatError — as a
-  /// v1/v2/v3 stream model. Throws std::runtime_error when neither loads.
-  explicit ServeModel(const std::string& path);
-
-  /// True when the artifact path loaded (zero-copy serving).
-  bool mapped() const { return view_ != nullptr; }
-  std::string name() const;
-
-  /// Classifies a pre-built analysis; bit-identical to the underlying
-  /// detector's classify(source) when the analysis was built with
-  /// parse_limits()/deobfuscate().
-  int classify(const analysis::ScriptAnalysis& analysis) const;
-
-  /// The model's frontend bounds / normalization flag, for building
-  /// matching analyses.
-  js::ParseLimits parse_limits() const;
-  bool deobfuscate() const;
-
-  /// ServeOptions pre-filled from this model's configuration.
-  ServeOptions options() const;
-
-  /// Serving format tag: "jsrm-mapped" for the zero-copy artifact path,
-  /// "stream" for the legacy loader (telemetry label, /statusz field).
-  std::string format() const;
-  /// Artifact format version (mapped path); 0 for stream models.
-  std::uint32_t format_version() const;
-  /// Width of the lint summary tail in the feature vector (0 = lint off).
-  std::size_t lint_dim() const;
-  std::size_t feature_count() const;
-
-  /// The mapped artifact behind this model; nullptr on the stream path
-  /// (callers wanting section tables / checksums, e.g. /statusz).
-  const core::ModelView* view() const { return view_.get(); }
-
- private:
-  std::unique_ptr<core::ModelView> view_;
-  std::unique_ptr<core::JsRevealer> heap_;
-};
-
 /// Registers the jsr_build_info / jsr_model_info identity gauges (value 1,
 /// identity in labels — the Prometheus idiom for exposing build metadata)
 /// in the global obs registry. Called once at daemon startup.
-void register_build_info(const ServeModel& model,
+/// The model_info labels are format="jsrm-mapped" and the artifact's
+/// format_version, lint_dim and deobfuscate flag.
+void register_build_info(const core::ModelView& model,
                          const std::string& model_path);
 
 struct ServeRequest {
@@ -146,7 +92,7 @@ class Batcher {
   using Completion = std::function<void(ServeResponse)>;
 
   /// Starts the worker. `model` must outlive the Batcher.
-  Batcher(const ServeModel& model, ServeOptions opts);
+  Batcher(const core::ModelView& model, ServeOptions opts);
   ~Batcher();
 
   Batcher(const Batcher&) = delete;
@@ -180,7 +126,7 @@ class Batcher {
   void worker_loop();
   void run_batch(std::vector<Pending> batch);
 
-  const ServeModel& model_;
+  const core::ModelView& model_;
   const ServeOptions opts_;
 
   mutable std::mutex mu_;

@@ -59,8 +59,9 @@ void Server::Conn::wait_idle() {
   pending_cv.wait(lock, [this] { return pending == 0; });
 }
 
-Server::Server(const ServeModel& model, ServeOptions opts)
-    : opts_(opts), batcher_(model, opts) {
+Server::Server(const core::ModelView& model, ServeOptions opts)
+    : max_payload_(model.parse_limits().max_source_bytes),
+      batcher_(model, opts) {
   ::signal(SIGPIPE, SIG_IGN);
   if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
   set_cloexec(wake_pipe_[0]);
@@ -242,7 +243,7 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
       Frame frame;
       std::size_t consumed = 0;
       const DecodeStatus st =
-          decode_frame(buf, opts_.limits.max_source_bytes, &frame, &consumed);
+          decode_frame(buf, max_payload_, &frame, &consumed);
       if (st == DecodeStatus::kNeedMore) break;
       if (st != DecodeStatus::kOk) {
         // Malformed wire data: answer with the reason, drop the connection,

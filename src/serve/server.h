@@ -40,7 +40,7 @@ class Server {
  public:
   /// `model` must outlive the server. Installs a SIG_IGN for SIGPIPE (a
   /// client hanging up mid-response must not kill the daemon).
-  Server(const ServeModel& model, ServeOptions opts);
+  Server(const core::ModelView& model, ServeOptions opts);
   ~Server();
 
   Server(const Server&) = delete;
@@ -111,7 +111,9 @@ class Server {
 
   void write_frame(const std::shared_ptr<Conn>& conn, const Frame& frame);
 
-  ServeOptions opts_;
+  // Frame payload cap: the model's max_source_bytes, enforced before a
+  // payload buffers.
+  const std::size_t max_payload_;
   Batcher batcher_;
 
   int listen_fd_ = -1;

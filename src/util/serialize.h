@@ -1,18 +1,9 @@
-// Minimal binary serialization primitives for model persistence.
-//
-// Format: little-endian fixed-width integers, length-prefixed strings, and
-// raw double arrays, wrapped in a magic+version header by the callers.
-// Not meant for cross-architecture portability of trained models — the
-// format matches the training machine's double representation, which is the
-// common trade-off for local model caches.
+// Model-format errors raised by the JSRM artifact loader.
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace jsrev::ser {
 
@@ -21,11 +12,10 @@ class FormatError : public std::runtime_error {
   explicit FormatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// A model-persistence failure localized to a named section of the trained
-/// model — thrown by both the legacy stream loader (offset = where the
-/// section started in the stream) and the JSRM artifact loader (offset =
-/// exact byte offset in the mapped file). Derives from FormatError so
-/// callers that only care about "malformed model" keep working.
+/// A model-loading failure localized to a named section of a JSRM artifact
+/// (core::ModelView), carrying the exact byte offset in the mapped file.
+/// Derives from FormatError so callers that only care about "malformed
+/// model" keep working.
 class ModelFormatError : public FormatError {
  public:
   ModelFormatError(std::string section, std::uint64_t offset,
@@ -42,95 +32,5 @@ class ModelFormatError : public FormatError {
   std::string section_;
   std::uint64_t offset_;
 };
-
-/// Runs `fn` with section context: any FormatError escaping it is rethrown
-/// as a ModelFormatError carrying `section` and the stream position captured
-/// on entry (after a failed read the stream's own position is unusable).
-template <typename Fn>
-auto with_section(std::istream& in, const char* section, Fn&& fn) {
-  const auto pos = in.tellg();
-  const std::uint64_t offset =
-      pos == std::istream::pos_type(-1) ? 0 : static_cast<std::uint64_t>(pos);
-  try {
-    return std::forward<Fn>(fn)();
-  } catch (const ModelFormatError&) {
-    throw;
-  } catch (const FormatError& e) {
-    throw ModelFormatError(section, offset, e.what());
-  }
-}
-
-inline void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-inline std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw FormatError("truncated stream (u64)");
-  return v;
-}
-
-inline void write_i64(std::ostream& out, std::int64_t v) {
-  write_u64(out, static_cast<std::uint64_t>(v));
-}
-
-inline std::int64_t read_i64(std::istream& in) {
-  return static_cast<std::int64_t>(read_u64(in));
-}
-
-inline void write_f64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-inline double read_f64(std::istream& in) {
-  double v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw FormatError("truncated stream (f64)");
-  return v;
-}
-
-inline void write_string(std::ostream& out, const std::string& s) {
-  write_u64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-inline std::string read_string(std::istream& in) {
-  const std::uint64_t n = read_u64(in);
-  if (n > (1ULL << 32)) throw FormatError("implausible string length");
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  if (!in) throw FormatError("truncated stream (string)");
-  return s;
-}
-
-inline void write_doubles(std::ostream& out, const std::vector<double>& v) {
-  write_u64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-
-inline std::vector<double> read_doubles(std::istream& in) {
-  const std::uint64_t n = read_u64(in);
-  if (n > (1ULL << 30)) throw FormatError("implausible array length");
-  std::vector<double> v(n);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (!in) throw FormatError("truncated stream (doubles)");
-  return v;
-}
-
-/// Writes/checks a section tag — catches misaligned streams early.
-inline void write_tag(std::ostream& out, const char (&tag)[5]) {
-  out.write(tag, 4);
-}
-
-inline void expect_tag(std::istream& in, const char (&tag)[5]) {
-  char buf[4];
-  in.read(buf, 4);
-  if (!in || std::string(buf, 4) != std::string(tag, 4)) {
-    throw FormatError(std::string("expected section '") + tag + "'");
-  }
-}
 
 }  // namespace jsrev::ser

@@ -658,7 +658,8 @@ class AdminServeFixture : public ::testing::Test {
     trainer.train(dataset::generate_corpus(gc));
     model_path_ = new std::string("admin_test_model.jsrm");
     trainer.save_artifact_file(*model_path_);
-    model_ = new serve::ServeModel(*model_path_);
+    model_ = new core::ModelView();
+    model_->map_file(*model_path_);
   }
 
   static void TearDownTestSuite() {
@@ -668,11 +669,11 @@ class AdminServeFixture : public ::testing::Test {
   }
 
   static std::string* model_path_;
-  static serve::ServeModel* model_;
+  static core::ModelView* model_;
 };
 
 std::string* AdminServeFixture::model_path_ = nullptr;
-serve::ServeModel* AdminServeFixture::model_ = nullptr;
+core::ModelView* AdminServeFixture::model_ = nullptr;
 
 TEST_F(AdminServeFixture, BuildAndModelInfoGauges) {
   serve::register_build_info(*model_, *model_path_);
@@ -695,7 +696,7 @@ TEST_F(AdminServeFixture, BuildAndModelInfoGauges) {
       EXPECT_EQ(s.labels.at("deobfuscate"),
                 model_->deobfuscate() ? "on" : "off");
       EXPECT_EQ(s.labels.at("lint_dim"),
-                std::to_string(model_->lint_dim()));
+                std::to_string(model_->info().header.lint_dim));
     }
   }
   EXPECT_TRUE(build_seen);
@@ -706,7 +707,7 @@ TEST_F(AdminServeFixture, BuildAndModelInfoGauges) {
 }
 
 TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {
-  serve::ServeOptions opts = model_->options();
+  serve::ServeOptions opts;
   opts.threads = 2;
   serve::Server server(*model_, opts);
 

@@ -1,12 +1,12 @@
 // Tests for the lint-feature detector integration (Config::lint_features):
 // the flag off must reproduce the legacy pipeline bit-for-bit (features,
-// predictions, and serialized model bytes), the flag on must change only the
-// appended feature tail, and both variants must round-trip serialization.
+// predictions, and artifact bytes), the flag on must change only the
+// appended feature tail, and both variants must round-trip through a mapped
+// artifact.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/jsrevealer.h"
+#include "core/model_view.h"
 #include "dataset/generator.h"
 #include "lint/linter.h"
 #include "util/rng.h"
@@ -77,10 +77,7 @@ TEST_F(LintFeatureFixture, FlagOffReproducesLegacyModelBytes) {
   // pipeline in any way.
   core::JsRevealer again(base_config(false));
   again.train(split_->train);
-  std::stringstream a, b;
-  plain_->save(a);
-  again.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(plain_->save_artifact(), again.save_artifact());
 }
 
 TEST_F(LintFeatureFixture, FlagOnChangesOnlyTheFeatureTail) {
@@ -115,11 +112,9 @@ TEST_F(LintFeatureFixture, LintTailReactsToMaliceMarkers) {
 }
 
 TEST_F(LintFeatureFixture, LintModelRoundTripsSerialization) {
-  std::stringstream buffer;
-  linted_->save(buffer);
-  core::JsRevealer restored(core::Config{});  // flag restored from the file
-  restored.load(buffer);
-  EXPECT_EQ(restored.lint_feature_count(), lint::kLintFeatureDim);
+  core::ModelView restored;  // lint width restored from the artifact header
+  restored.from_buffer(linted_->save_artifact());
+  EXPECT_EQ(restored.info().header.lint_dim, lint::kLintFeatureDim);
   EXPECT_EQ(restored.feature_count(), linted_->feature_count());
   for (std::size_t i = 0; i < split_->test.samples.size(); i += 5) {
     const std::string& src = split_->test.samples[i].source;
@@ -128,14 +123,10 @@ TEST_F(LintFeatureFixture, LintModelRoundTripsSerialization) {
   }
 }
 
-TEST_F(LintFeatureFixture, FlagOffModelLoadsAsVersionOne) {
-  // Flag-off models keep the version-1 header so older readers stay
-  // compatible; loading restores lint_dim = 0.
-  std::stringstream buffer;
-  plain_->save(buffer);
-  core::JsRevealer restored(base_config(true));  // flag overridden by file
-  restored.load(buffer);
-  EXPECT_EQ(restored.lint_feature_count(), 0u);
+TEST_F(LintFeatureFixture, FlagOffArtifactHasNoLintTail) {
+  core::ModelView restored;
+  restored.from_buffer(plain_->save_artifact());
+  EXPECT_EQ(restored.info().header.lint_dim, 0u);
   EXPECT_EQ(restored.feature_count(), plain_->feature_count());
 }
 

@@ -1,22 +1,27 @@
-// Tests for the JSRM v3 model artifact: the trainer must emit byte-identical
-// artifacts at any parallel width, a mapped ModelView must reproduce the
-// writing detector bit-for-bit (verdicts and feature vectors) across the
-// whole obfuscated evaluation grid, legacy stream models must convert to the
-// same bytes, and malformed artifacts must fail with ser::ModelFormatError —
-// never a crash or a silently different verdict.
+// Tests for the JSRM v3 model artifact, the only model format: the trainer
+// must emit byte-identical artifacts at any parallel width; JsRevealer and a
+// mapped ModelView of its artifact must reproduce the outputs pinned from
+// the former heap inference path over the whole obfuscated evaluation grid;
+// and malformed artifacts must fail with ser::ModelFormatError — never a
+// crash or a silently different verdict.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
+#include <cstdio>
+#include <future>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
 #include "obfuscators/obfuscator.h"
+#include "util/hash.h"
 #include "util/serialize.h"
+#include "util/thread_pool.h"
 
 namespace jsrev {
 namespace {
@@ -58,11 +63,90 @@ std::vector<std::string> evaluation_scripts() {
   return scripts;
 }
 
+// Outputs of the heap inference path JsRevealer ran before it forwarded to
+// its own ModelView, over evaluation_scripts() for small_config() trained on
+// train_corpus(): the verdict of each script ('0' benign, '1' malicious), and
+// FNV-1a digests (see digests()) of the featurize() vectors and of each
+// provenance record's cluster attention and outside-cluster path count.
+constexpr std::string_view kPinnedVerdicts =
+    "0000100010000000001100000010000100000000000000000000000100000000"
+    "0000001000000000000000000001000000001111101111111111111111111111"
+    "1111110111011111111111110111111111111111101111110111111111111111"
+    "1011111100011001110010000011000101101001000001001010000001000001"
+    "0000101000000011000010011111100000110001100111111011111011111111"
+    "1111111111111101110111111111111101111111111111111111111101111111"
+    "1111110110111111000010001100100100111000001010010001010010010000"
+    "0000000100000010001000111001000000000000000100000000111100111110"
+    "1111111111111111110111011111111111111111011111111111111110111111"
+    "0111111111111111111111110000100011000001001100100010000100000000"
+    "0001000000001001000000000000001110010000000000000001100000011111"
+    "1111110111011111111011111111110111011111111111110111011111111111"
+    "1011111101111111011111010011111100001000100000000011000000100001"
+    "0000000000000000000000010000000000000010000000000000000000010000"
+    "0000111110111111111111111111111111111101110111111111111101111111"
+    "1111111110111111011111111111111110111111";
+constexpr std::uint64_t kPinnedFeaturizeDigest = 0x6dd36e47d61b76a5ULL;
+constexpr std::uint64_t kPinnedProvenanceDigest = 0x4a177a73e2e96570ULL;
+
+std::string verdict_string(const std::vector<int>& verdicts) {
+  std::string out;
+  for (const int v : verdicts) out.push_back(static_cast<char>('0' + v));
+  return out;
+}
+
+template <typename T>
+std::uint64_t fold(std::uint64_t h, const T& v) {
+  return fnv1a64_step(
+      h, std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
+}
+
+struct Digests {
+  std::uint64_t featurize = fnv1a64_begin();
+  std::uint64_t provenance = fnv1a64_begin();
+};
+
+/// Digests of `det`'s featurize() over `scripts`, with provenance capture on
+/// (featurize fills the record's cluster fields): computed in parallel,
+/// folded in script order.
+template <typename Detector>
+Digests digests(const Detector& det, const std::vector<std::string>& scripts) {
+  std::vector<std::vector<double>> features(scripts.size());
+  std::vector<obs::VerdictProvenance> records(scripts.size());
+  parallel_for_threads(0, scripts.size(), [&](std::size_t i) {
+    analysis::ScriptAnalysis analysis(scripts[i], {}, /*deobfuscate=*/false);
+    analysis.enable_provenance();
+    features[i] = det.featurize(analysis);
+    records[i] = *analysis.provenance();
+  });
+  Digests d;
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    d.featurize = fnv1a64_step(
+        d.featurize,
+        std::string_view(reinterpret_cast<const char*>(features[i].data()),
+                         features[i].size() * sizeof(double)));
+    for (const obs::ClusterAttention& ca : records[i].cluster_attention) {
+      d.provenance = fold(d.provenance, std::int32_t{ca.feature_index});
+      d.provenance =
+          fold(d.provenance, static_cast<std::uint8_t>(ca.from_benign));
+      d.provenance = fold(d.provenance, ca.mass);
+    }
+    d.provenance = fold(
+        d.provenance,
+        static_cast<std::uint64_t>(records[i].paths_outside_clusters));
+  }
+  return d;
+}
+
 class ArtifactFixture : public ::testing::Test {
  protected:
+  static constexpr std::size_t kWidths[] = {1, 2, 8};
+
   static void SetUpTestSuite() {
-    trainer_ = new core::JsRevealer(small_config(2));
-    trainer_->train(train_corpus());
+    for (std::size_t w = 0; w < 3; ++w) {
+      trainers_[w] = new core::JsRevealer(small_config(kWidths[w]));
+      trainers_[w]->train(train_corpus());
+    }
+    trainer_ = trainers_[1];
     artifact_ = new std::vector<std::uint8_t>(trainer_->save_artifact());
     view_ = new core::ModelView();
     view_->from_buffer(*artifact_);
@@ -71,26 +155,30 @@ class ArtifactFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete view_;
     delete artifact_;
-    delete trainer_;
+    for (core::JsRevealer*& t : trainers_) {
+      delete t;
+      t = nullptr;
+    }
     view_ = nullptr;
     artifact_ = nullptr;
     trainer_ = nullptr;
   }
 
-  static core::JsRevealer* trainer_;
+  static core::JsRevealer* trainers_[3];  // trained at kWidths
+  static core::JsRevealer* trainer_;      // the width-2 trainer
   static std::vector<std::uint8_t>* artifact_;
   static core::ModelView* view_;
 };
 
+core::JsRevealer* ArtifactFixture::trainers_[3] = {};
 core::JsRevealer* ArtifactFixture::trainer_ = nullptr;
 std::vector<std::uint8_t>* ArtifactFixture::artifact_ = nullptr;
 core::ModelView* ArtifactFixture::view_ = nullptr;
 
 TEST_F(ArtifactFixture, ArtifactBytesIdenticalAcrossThreadWidths) {
-  for (const std::size_t threads : {std::size_t(1), std::size_t(8)}) {
-    core::JsRevealer det(small_config(threads));
-    det.train(train_corpus());
-    EXPECT_EQ(det.save_artifact(), *artifact_) << "threads=" << threads;
+  for (std::size_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(trainers_[w]->save_artifact(), *artifact_)
+        << "threads=" << kWidths[w];
   }
 }
 
@@ -98,42 +186,52 @@ TEST_F(ArtifactFixture, SaveArtifactIsDeterministic) {
   EXPECT_EQ(trainer_->save_artifact(), *artifact_);
 }
 
-TEST_F(ArtifactFixture, VerdictsBitIdenticalOverObfuscatedGrid) {
+TEST_F(ArtifactFixture, VerdictsMatchPinnedHeapPathAtEveryWidth) {
   const std::vector<std::string> scripts = evaluation_scripts();
-  ASSERT_GE(scripts.size(), 1000u);
-  const std::vector<int> heap = trainer_->classify_all(scripts);
-  const std::vector<int> mapped = view_->classify_all(scripts);
-  ASSERT_EQ(heap.size(), mapped.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    ASSERT_EQ(heap[i], mapped[i]) << "script " << i;
+  ASSERT_EQ(scripts.size(), kPinnedVerdicts.size());
+  // Six independent passes — each width's trainer and a mapped view of its
+  // artifact — run side by side so the width-1 passes do not serialize.
+  core::ModelView mapped[3];
+  std::vector<std::future<std::string>> passes;
+  for (std::size_t w = 0; w < 3; ++w) {
+    const std::string path =
+        "artifact_test_w" + std::to_string(kWidths[w]) + ".jsrm";
+    trainers_[w]->save_artifact_file(path);
+    mapped[w].map_file(path);
+    mapped[w].set_threads(kWidths[w]);
+    std::remove(path.c_str());  // the mapping keeps the bytes
+    passes.push_back(std::async(std::launch::async, [&, w] {
+      return verdict_string(trainers_[w]->classify_all(scripts));
+    }));
+    passes.push_back(std::async(std::launch::async, [&, w] {
+      return verdict_string(mapped[w].classify_all(scripts));
+    }));
+  }
+  for (std::size_t k = 0; k < passes.size(); ++k) {
+    EXPECT_EQ(passes[k].get(), kPinnedVerdicts)
+        << (k % 2 == 0 ? "JsRevealer" : "mapped view")
+        << ", threads=" << kWidths[k / 2];
   }
 }
 
-TEST_F(ArtifactFixture, ViewBatchMatchesSerialAtEveryWidth) {
-  std::vector<std::string> scripts = evaluation_scripts();
-  scripts.resize(60);
-  std::vector<int> serial;
-  serial.reserve(scripts.size());
-  for (const auto& s : scripts) serial.push_back(view_->classify(s));
-  for (const std::size_t threads :
-       {std::size_t(1), std::size_t(2), std::size_t(8)}) {
-    core::ModelView view;
-    view.from_buffer(*artifact_);
-    view.set_threads(threads);
-    EXPECT_EQ(view.classify_all(scripts), serial) << "threads=" << threads;
-  }
-}
-
-TEST_F(ArtifactFixture, FeatureVectorsBitIdentical) {
+TEST_F(ArtifactFixture, FeaturesAndProvenanceMatchPinnedHeapPath) {
   const std::vector<std::string> scripts = evaluation_scripts();
-  for (std::size_t i = 0; i < scripts.size(); i += 37) {
-    EXPECT_EQ(trainer_->featurize(scripts[i]), view_->featurize(scripts[i]))
-        << "script " << i;
-  }
+  const Digests trained = digests(*trainer_, scripts);
+  EXPECT_EQ(trained.featurize, kPinnedFeaturizeDigest);
+  EXPECT_EQ(trained.provenance, kPinnedProvenanceDigest);
+
+  const std::string path = "artifact_test_digests.jsrm";
+  trainer_->save_artifact_file(path);
+  core::ModelView mapped;
+  mapped.map_file(path);
+  const Digests viewed = digests(mapped, scripts);
+  EXPECT_EQ(viewed.featurize, kPinnedFeaturizeDigest);
+  EXPECT_EQ(viewed.provenance, kPinnedProvenanceDigest);
+  std::remove(path.c_str());
 }
 
 TEST_F(ArtifactFixture, MapFileMatchesFromBuffer) {
-  const std::string path = "/tmp/jsrev_artifact_test.jsrm";
+  const std::string path = "artifact_test_map.jsrm";
   trainer_->save_artifact_file(path);
   core::ModelView mapped;
   mapped.map_file(path);
@@ -147,6 +245,7 @@ TEST_F(ArtifactFixture, MapFileMatchesFromBuffer) {
   core::ModelView trusted;
   trusted.map_file(path, /*verify_checksums=*/false);
   EXPECT_EQ(trusted.classify(scripts[0]), view_->classify(scripts[0]));
+  std::remove(path.c_str());
 }
 
 TEST_F(ArtifactFixture, InfoReportsValidatedSections) {
@@ -239,22 +338,6 @@ TEST_F(ArtifactFixture, FormatErrorCarriesSectionAndOffset) {
   }
 }
 
-TEST_F(ArtifactFixture, LegacyStreamConvertsToIdenticalArtifact) {
-  std::stringstream legacy;
-  trainer_->save_legacy(legacy);
-  core::JsRevealer restored(core::Config{});
-  restored.load(legacy);
-  EXPECT_EQ(restored.save_artifact(), *artifact_);
-}
-
-TEST_F(ArtifactFixture, V3StreamConvertsToIdenticalArtifact) {
-  std::stringstream stream;
-  trainer_->save(stream);
-  core::JsRevealer restored(core::Config{});
-  restored.load(stream);
-  EXPECT_EQ(restored.save_artifact(), *artifact_);
-}
-
 TEST(ModelViewApi, UnloadedViewIsSafe) {
   core::ModelView view;
   EXPECT_FALSE(view.loaded());
@@ -269,6 +352,26 @@ TEST(ModelViewApi, TrainThrowsLogicError) {
 TEST(ModelViewApi, UntrainedSaveArtifactThrows) {
   core::JsRevealer det(core::Config{});
   EXPECT_THROW(det.save_artifact(), std::logic_error);
+}
+
+TEST(ModelViewApi, NonForestClassifierSaveArtifactThrows) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 33;
+  gc.benign_count = 30;
+  gc.malicious_count = 30;
+  core::Config cfg;
+  cfg.classifier = ml::ClassifierKind::kSvm;
+  cfg.embed_epochs = 3;
+  cfg.cluster_sample_per_class = 200;
+  core::JsRevealer det(cfg);
+  det.train(dataset::generate_corpus(gc));
+  // The in-memory artifact carries an empty forest; the view predicts with
+  // the trainer's SVM, but the model cannot be persisted.
+  EXPECT_TRUE(det.view().loaded());
+  EXPECT_EQ(det.view().tree_count(), 0u);
+  EXPECT_THROW(det.save_artifact(), std::logic_error);
+  EXPECT_THROW(det.save_artifact_file("artifact_test_svm.jsrm"),
+               std::logic_error);
 }
 
 TEST(ModelViewApi, MissingFileThrows) {

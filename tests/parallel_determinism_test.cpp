@@ -5,7 +5,7 @@
 // equality, not tolerance-based comparison.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -91,11 +91,16 @@ TEST(ParallelDeterminism, RandomForestBitIdentical) {
   fa.fit(x, y);
   fb.fit(x, y);
 
-  // Strongest check: the serialized models must match byte for byte.
-  std::ostringstream sa, sb;
-  fa.save(sa);
-  fb.save(sb);
-  EXPECT_EQ(sa.str(), sb.str());
+  // Strongest check: the flattened forests must match byte for byte.
+  std::vector<ml::ForestNodeRec> nodes_a, nodes_b;
+  std::vector<std::uint32_t> offsets_a, offsets_b;
+  fa.export_flat(&nodes_a, &offsets_a);
+  fb.export_flat(&nodes_b, &offsets_b);
+  EXPECT_EQ(offsets_a, offsets_b);
+  ASSERT_EQ(nodes_a.size(), nodes_b.size());
+  EXPECT_EQ(std::memcmp(nodes_a.data(), nodes_b.data(),
+                        nodes_a.size() * sizeof(ml::ForestNodeRec)),
+            0);
   EXPECT_EQ(fa.feature_importances(), fb.feature_importances());
   EXPECT_EQ(fa.predict_all(x, 1), fb.predict_all(x, 4));
 }
@@ -128,10 +133,8 @@ TEST(ParallelDeterminism, FullPipelineBitIdentical) {
   EXPECT_EQ(serial.feature_count(), parallel.feature_count());
   EXPECT_EQ(serial.clusters_removed(), parallel.clusters_removed());
 
-  std::ostringstream ms, mp;
-  serial.save(ms);
-  parallel.save(mp);
-  EXPECT_EQ(ms.str(), mp.str()) << "trained models differ across widths";
+  EXPECT_EQ(serial.save_artifact(), parallel.save_artifact())
+      << "trained models differ across widths";
 
   std::vector<std::string> sources;
   for (const auto& s : split.test.samples) sources.push_back(s.source);
@@ -185,13 +188,14 @@ TEST(ParallelDeterminism, FamilyClassifierWidthInvariant) {
   det.train(corpus);
 
   core::FamilyClassifier serial(1), parallel(4);
-  ASSERT_GT(serial.train(det, corpus), 0u);
-  ASSERT_GT(parallel.train(det, corpus), 0u);
+  ASSERT_GT(serial.train(det.view(), corpus), 0u);
+  ASSERT_GT(parallel.train(det.view(), corpus), 0u);
   ASSERT_EQ(serial.families(), parallel.families());
   for (std::size_t i = 0; i < 25; ++i) {
     const auto& s = corpus.samples[i];
     if (s.label != 1) continue;
-    EXPECT_EQ(serial.classify(det, s.source), parallel.classify(det, s.source));
+    EXPECT_EQ(serial.classify(det.view(), s.source),
+              parallel.classify(det.view(), s.source));
   }
 }
 

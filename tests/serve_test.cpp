@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
+#include "obs/json.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
@@ -155,7 +157,8 @@ class ServeFixture : public ::testing::Test {
     trainer.train(dataset::generate_corpus(gc));
     model_path_ = new std::string("serve_test_model.jsrm");
     trainer.save_artifact_file(*model_path_);
-    model_ = new serve::ServeModel(*model_path_);
+    model_ = new core::ModelView();
+    model_->map_file(*model_path_);
 
     dataset::GeneratorConfig eval;
     eval.seed = 1234;
@@ -182,24 +185,24 @@ class ServeFixture : public ::testing::Test {
   }
 
   static std::string* model_path_;
-  static serve::ServeModel* model_;
+  static core::ModelView* model_;
   static std::vector<std::string>* scripts_;
   static std::vector<int>* library_verdicts_;
 };
 
 std::string* ServeFixture::model_path_ = nullptr;
-serve::ServeModel* ServeFixture::model_ = nullptr;
+core::ModelView* ServeFixture::model_ = nullptr;
 std::vector<std::string>* ServeFixture::scripts_ = nullptr;
 std::vector<int>* ServeFixture::library_verdicts_ = nullptr;
 
 TEST_F(ServeFixture, ModelOpensAsMappedArtifact) {
-  EXPECT_TRUE(model_->mapped());
+  EXPECT_TRUE(model_->loaded());
   EXPECT_EQ(model_->name(), "JSRevealer[mapped]");
 }
 
 TEST_F(ServeFixture, BatcherMatchesLibraryAtEveryWidth) {
   for (const std::size_t width : {1u, 2u, 8u}) {
-    serve::ServeOptions opts = model_->options();
+    serve::ServeOptions opts;
     opts.threads = width;
     serve::Batcher batcher(*model_, opts);
 
@@ -219,8 +222,36 @@ TEST_F(ServeFixture, BatcherMatchesLibraryAtEveryWidth) {
   }
 }
 
+TEST_F(ServeFixture, BatcherProvenanceReportsFrontendStageTimes) {
+  // The Batcher forces each parse in its analyze stage, before classify
+  // runs; the provenance record must still carry the parse and the path
+  // traversal cost instead of zeros.
+  serve::Batcher batcher(*model_, {});
+  std::string json;
+  serve::ServeRequest req;
+  req.id = 5;
+  req.source = (*scripts_)[0];
+  req.want_provenance = true;
+  batcher.submit(std::move(req), [&](serve::ServeResponse resp) {
+    json = resp.provenance_json;
+  });
+  batcher.drain();
+
+  const std::unique_ptr<obs::JsonValue> doc = obs::json_parse(json);
+  ASSERT_NE(doc, nullptr) << json;
+  const obs::JsonValue* stages = doc->find("stage_ms");
+  ASSERT_NE(stages, nullptr) << json;
+  ASSERT_NE(doc->find("parse_failed"), nullptr);
+  EXPECT_FALSE(doc->find("parse_failed")->boolean);
+  for (const char* stage : {"parse", "path_traversal"}) {
+    const obs::JsonValue* ms = stages->find(stage);
+    ASSERT_NE(ms, nullptr) << stage;
+    EXPECT_GT(ms->number, 0.0) << stage << " in " << json;
+  }
+}
+
 TEST_F(ServeFixture, BatcherRejectsBeyondQueueCapacity) {
-  serve::ServeOptions opts = model_->options();
+  serve::ServeOptions opts;
   opts.max_queue = 2;
   serve::Batcher batcher(*model_, opts);
 
@@ -280,7 +311,7 @@ std::vector<serve::Frame> read_frames(int fd, std::size_t n) {
 }
 
 TEST_F(ServeFixture, ConcurrentClientsMatchLibrary) {
-  serve::Server server(*model_, model_->options());
+  serve::Server server(*model_, {});
   server.listen_tcp(0);
   ASSERT_NE(server.bound_port(), 0);
   std::thread daemon([&] { server.run(); });
@@ -329,7 +360,7 @@ TEST_F(ServeFixture, ConcurrentClientsMatchLibrary) {
 }
 
 TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
-  serve::Server server(*model_, model_->options());
+  serve::Server server(*model_, {});
   server.listen_tcp(0);
   std::thread daemon([&] { server.run(); });
 
@@ -374,7 +405,7 @@ TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
 TEST_F(ServeFixture, QuitDrainsInFlightWorkBeforeBye) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  serve::Server server(*model_, model_->options());
+  serve::Server server(*model_, {});
   std::thread daemon([&] {
     server.serve_fd(sv[0], sv[0]);
     ::close(sv[0]);
@@ -414,7 +445,7 @@ TEST_F(ServeFixture, QuitDrainsInFlightWorkBeforeBye) {
 TEST_F(ServeFixture, PingStatsAndParseFailedFlag) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  serve::Server server(*model_, model_->options());
+  serve::Server server(*model_, {});
   std::thread daemon([&] {
     server.serve_fd(sv[0], sv[0]);
     ::close(sv[0]);

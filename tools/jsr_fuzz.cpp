@@ -285,7 +285,7 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
   detector.train(train);
   const std::vector<std::uint8_t> artifact = detector.save_artifact();
 
-  // Probe scripts + the heap detector's verdicts as the baseline.
+  // Probe scripts + the trainer's verdicts as the baseline.
   gc.seed = opt.seed ^ 0x9e0be5ULL;
   gc.benign_count = 3;
   gc.malicious_count = 3;
@@ -295,7 +295,7 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
     baseline.push_back(detector.classify(s.source));
   }
 
-  // The pristine artifact itself must load and agree with the heap path.
+  // The pristine artifact itself must load and agree with the trainer.
   {
     ++stats.o6_checked;
     core::ModelView view;
@@ -312,7 +312,8 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
       for (std::size_t i = 0; i < probes.samples.size(); ++i) {
         if (view.classify(probes.samples[i].source) != baseline[i]) {
           report_failure(stats, "O6-artifact",
-                         "mapped verdict differs from heap verdict on probe " +
+                         "mapped verdict differs from trainer verdict on "
+                         "probe " +
                              std::to_string(i),
                          probes.samples[i].source);
         }

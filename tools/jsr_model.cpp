@@ -2,16 +2,11 @@
 //
 // Subcommands:
 //   train --out M.jsrm [--scripts N] [--seed N] [--threads N] [--lint]
-//         [--stream M.bin] [--legacy-stream M.bin]
 //       trains a JsRevealer on a generated corpus and writes the mmap-able
-//       artifact; optionally also the stream form (v3, or the v1/v2 legacy
-//       layout) for conversion tests.
+//       artifact (byte-identical at any --threads width).
 //   inspect M.jsrm
 //       prints the header, the section table (name, offset, size, checksum,
 //       verification state), and per-section share of the file.
-//   convert IN.bin OUT.jsrm
-//       loads a stream model (any version: v1, v2, or v3) and rewrites it
-//       as a v3 artifact.
 //   classify M.jsrm FILE.JS...
 //       maps the artifact and classifies each file (0 = benign,
 //       1 = malicious), exercising the exact zero-copy path a serving
@@ -29,7 +24,6 @@
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
-#include "util/serialize.h"
 #include "util/string_util.h"
 
 namespace {
@@ -40,11 +34,10 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s train --out M.jsrm [--scripts N] [--seed N] [--threads N]\n"
-      "          [--lint] [--stream M.bin] [--legacy-stream M.bin]\n"
+      "          [--lint]\n"
       "       %s inspect M.jsrm\n"
-      "       %s convert IN.bin OUT.jsrm\n"
       "       %s classify M.jsrm FILE.JS...\n",
-      argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0);
   return 2;
 }
 
@@ -58,7 +51,7 @@ bool read_file(const std::string& path, std::string* out) {
 }
 
 int cmd_train(int argc, char** argv) {
-  std::string out_path, stream_path, legacy_path;
+  std::string out_path;
   std::uint64_t seed = 42;
   std::size_t scripts = 60, threads = 0;
   bool lint = false;
@@ -70,14 +63,6 @@ int cmd_train(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       out_path = v;
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      stream_path = v;
-    } else if (std::strcmp(argv[i], "--legacy-stream") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      legacy_path = v;
     } else if (std::strcmp(argv[i], "--scripts") == 0) {
       const char* v = next();
       if (v == nullptr || !parse_size(v, &scripts) || scripts == 0) {
@@ -95,9 +80,7 @@ int cmd_train(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (out_path.empty() && stream_path.empty() && legacy_path.empty()) {
-    return usage(argv[0]);
-  }
+  if (out_path.empty()) return usage(argv[0]);
 
   dataset::GeneratorConfig gc;
   gc.seed = seed;
@@ -112,26 +95,9 @@ int cmd_train(int argc, char** argv) {
   core::JsRevealer det(cfg);
   det.train(corpus);
 
-  if (!out_path.empty()) {
-    det.save_artifact_file(out_path);
-    std::printf("jsr_model: wrote artifact %s (%zu features)\n",
-                out_path.c_str(), det.feature_count());
-  }
-  if (!stream_path.empty()) {
-    det.save_file(stream_path);
-    std::printf("jsr_model: wrote stream model %s\n", stream_path.c_str());
-  }
-  if (!legacy_path.empty()) {
-    std::ofstream out(legacy_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "jsr_model: cannot write %s\n",
-                   legacy_path.c_str());
-      return 1;
-    }
-    det.save_legacy(out);
-    std::printf("jsr_model: wrote legacy stream model %s\n",
-                legacy_path.c_str());
-  }
+  det.save_artifact_file(out_path);
+  std::printf("jsr_model: wrote artifact %s (%zu features)\n",
+              out_path.c_str(), det.feature_count());
   return 0;
 }
 
@@ -163,27 +129,6 @@ int cmd_inspect(const std::string& path) {
                 static_cast<unsigned long long>(s.rec.checksum),
                 s.checksum_ok ? "ok" : "CORRUPT");
   }
-  return 0;
-}
-
-int cmd_convert(const std::string& in_path, const std::string& out_path) {
-  core::JsRevealer det{core::Config{}};
-  try {
-    det.load_file(in_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "jsr_model: cannot load %s: %s\n", in_path.c_str(),
-                 e.what());
-    return 1;
-  }
-  try {
-    det.save_artifact_file(out_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "jsr_model: cannot write %s: %s\n", out_path.c_str(),
-                 e.what());
-    return 1;
-  }
-  std::printf("jsr_model: converted %s -> %s\n", in_path.c_str(),
-              out_path.c_str());
   return 0;
 }
 
@@ -220,10 +165,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(cmd, "inspect") == 0) {
     if (argc != 3) return usage(argv[0]);
     return cmd_inspect(argv[2]);
-  }
-  if (std::strcmp(cmd, "convert") == 0) {
-    if (argc != 4) return usage(argv[0]);
-    return cmd_convert(argv[2], argv[3]);
   }
   if (std::strcmp(cmd, "classify") == 0) {
     if (argc < 4) return usage(argv[0]);

@@ -6,13 +6,11 @@
 //   --tcp PORT     listen on 127.0.0.1:PORT (0 = ephemeral; port printed)
 //
 //   jsr_serve --model M.jsrm --stdio [--threads N] [--max-batch N]
-//             [--max-queue N] [--deob|--no-deob]
+//             [--max-queue N]
 //
-// The model opens as a mapped JSRM v3 artifact when possible (zero-copy;
-// `jsr_model train --out` writes one) and falls back to the stream loader,
-// so every model file the repo can produce is servable. Parse limits and
-// the deobfuscate flag default to the model's own configuration; --deob /
-// --no-deob override normalization.
+// The model is a JSRM v3 artifact, mapped read-only (zero-copy; `jsr_model
+// train --out` writes one). Parse limits and the deobfuscate flag come from
+// the model, so the daemon classifies exactly like `jsr_model classify`.
 //
 // Client helper modes (no model; the wire protocol without a binary client):
 //   --encode FILE.JS... [--provenance] [--quit]
@@ -40,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "core/model_view.h"
 #include "obs/admin.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -57,7 +56,6 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --model M [--stdio | --unix PATH | --tcp PORT]\n"
       "          [--threads N] [--max-batch N] [--max-queue N]\n"
-      "          [--deob | --no-deob]\n"
       "          [--admin [ADDR:]PORT | --admin-unix PATH]\n"
       "          [--log-level debug|info|warn|error] [--slow-ms N]\n"
       "       %s --encode FILE.JS... [--provenance] [--quit]\n"
@@ -179,7 +177,6 @@ int main(int argc, char** argv) {
   bool stdio = false, want_tcp = false;
   std::uint64_t tcp_port = 0;
   std::size_t threads = 0, max_batch = 0, max_queue = 0;
-  int deob_override = -1;  // -1 model default, 0 off, 1 on
   bool encode = false, decode = false, provenance = false, quit = false;
   std::string admin_spec, admin_unix;
   bool admin_get = false;
@@ -219,10 +216,6 @@ int main(int argc, char** argv) {
       if (v == nullptr || !parse_size(v, &max_queue) || max_queue == 0) {
         return usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--deob") == 0) {
-      deob_override = 1;
-    } else if (std::strcmp(argv[i], "--no-deob") == 0) {
-      deob_override = 0;
     } else if (std::strcmp(argv[i], "--admin") == 0) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -276,12 +269,12 @@ int main(int argc, char** argv) {
   if (!admin_spec.empty() && !admin_unix.empty()) return usage(argv[0]);
 
   try {
-    const serve::ServeModel model(model_path);
-    serve::ServeOptions opts = model.options();
+    core::ModelView model;
+    model.map_file(model_path);
+    serve::ServeOptions opts;
     opts.threads = threads;
     if (max_batch != 0) opts.max_batch = max_batch;
     if (max_queue != 0) opts.max_queue = max_queue;
-    if (deob_override >= 0) opts.deobfuscate = deob_override == 1;
     opts.slow_ms = static_cast<double>(slow_ms);
 
     serve::register_build_info(model, model_path);
@@ -307,23 +300,22 @@ int main(int argc, char** argv) {
         admin->listen_tcp(static_cast<std::uint16_t>(port), addr);
       }
       admin->set_ready_check([&server] { return server.ready(); });
-      admin->set_status_fields([&server, &model, &model_path,
-                                &opts](obs::JsonWriter& w) {
+      admin->set_status_fields([&server, &model,
+                                &model_path](obs::JsonWriter& w) {
+        const core::ArtifactInfo info = model.info();
         w.kv("model_path", model_path);
         w.kv("model_name", model.name());
-        w.kv("model_format", model.format());
+        w.kv("model_format", "jsrm-mapped");
         w.kv("model_format_version",
-             static_cast<std::uint64_t>(model.format_version()));
-        w.kv("lint_dim", static_cast<std::uint64_t>(model.lint_dim()));
-        w.kv("deobfuscate", opts.deobfuscate);
+             static_cast<std::uint64_t>(info.header.version));
+        w.kv("lint_dim", static_cast<std::uint64_t>(info.header.lint_dim));
+        w.kv("deobfuscate", model.deobfuscate());
         w.kv("queue_depth",
              static_cast<std::uint64_t>(server.batcher().queue_depth()));
-        if (model.view() != nullptr) {
-          w.key("sections");
-          w.begin_array();
-          for (const auto& s : model.view()->info().sections) w.value(s.name);
-          w.end_array();
-        }
+        w.key("sections");
+        w.begin_array();
+        for (const auto& s : info.sections) w.value(s.name);
+        w.end_array();
       });
       admin->start();
       // Port discovery for scripts (ephemeral --admin 0): stdout in socket
@@ -355,8 +347,8 @@ int main(int argc, char** argv) {
       obs::LogRecord(obs::LogLevel::kInfo, "serve.listening")
           .kv("endpoint", endpoint)
           .kv("model", model_path)
-          .kv("format", model.format())
-          .kv("deobfuscate", opts.deobfuscate);
+          .kv("format", "jsrm-mapped")
+          .kv("deobfuscate", model.deobfuscate());
     };
     if (stdio) {
       announce("stdio");
