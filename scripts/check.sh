@@ -192,6 +192,37 @@ grep -q '^jsr_build_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_build_info gauge missing" >&2; exit 1; }
 grep -q '^jsr_model_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_model_info gauge missing" >&2; exit 1; }
+# Connection-layer bound: 3000 sequential one-PING connections to the frame
+# socket. A connection thread that is never joined keeps its stack mapped,
+# so /proc/PID/maps must stay nearly flat; the admin plane must still answer.
+if command -v python3 > /dev/null; then
+  maps_before="$(wc -l < "/proc/${admin_pid}/maps")"
+  python3 - "${admin_sock}" <<'PY'
+import socket, struct, sys
+ping = b"JR\x02\x00" + struct.pack("<II", 1, 0)
+for i in range(3000):
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+        s.settimeout(10)
+        s.connect(sys.argv[1])
+        s.sendall(ping)
+        reply = b""
+        while len(reply) < 12:
+            chunk = s.recv(64)
+            if not chunk:
+                sys.exit(f"connection {i}: EOF before PONG")
+            reply += chunk
+        if reply[2] != 0x82:
+            sys.exit(f"connection {i}: expected PONG, got type {reply[2]:#x}")
+PY
+  maps_after="$(wc -l < "/proc/${admin_pid}/maps")"
+  echo "3000 connections: /proc/PID/maps ${maps_before} -> ${maps_after} lines"
+  if [ $((maps_after - maps_before)) -ge 100 ]; then
+    echo "admin smoke FAILED: connection threads are not reaped" >&2
+    kill "${admin_pid}" 2> /dev/null || true
+    exit 1
+  fi
+  "${BUILD_DIR}/tools/jsr_serve" --admin-get "${admin_ep}" /healthz
+fi
 kill -TERM "${admin_pid}"
 wait "${admin_pid}"
 echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"

@@ -1,20 +1,13 @@
 #include "obs/admin.h"
 
-#include <cctype>
+#include <cerrno>
 #include <cstdlib>
-#include <cstring>
-#include <stdexcept>
+#include <ctime>
 #include <utility>
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
-
-#include <arpa/inet.h>
 
 #include "obs/json.h"
 #include "obs/log.h"
@@ -25,24 +18,6 @@
 
 namespace jsrev::obs {
 namespace {
-
-void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
-
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
 
 std::int64_t mono_us() {
   timespec ts{};
@@ -82,77 +57,9 @@ std::string plain(int status, std::string_view body) {
 
 }  // namespace
 
-AdminServer::AdminServer() : start_us_(mono_us()) {
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-  set_cloexec(wake_pipe_[0]);
-  set_cloexec(wake_pipe_[1]);
-}
+AdminServer::AdminServer() : start_us_(mono_us()) {}
 
-AdminServer::~AdminServer() {
-  stop();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-}
-
-void AdminServer::listen_tcp(std::uint16_t port, const std::string& bind_addr) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_INET)");
-  set_cloexec(fd);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (!bind_addr.empty() &&
-      ::inet_pton(AF_INET, bind_addr.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("bad admin bind address: " + bind_addr);
-  }
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(admin port " + std::to_string(port) + ")");
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw_errno("listen(admin)");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
-}
-
-void AdminServer::listen_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("admin unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
-  set_cloexec(fd);
-  ::unlink(path.c_str());
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(" + path + ")");
-  }
-  if (::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw_errno("listen(" + path + ")");
-  }
-  listen_fd_ = fd;
-  unix_path_ = path;
-}
+AdminServer::~AdminServer() { stop(); }
 
 void AdminServer::set_ready_check(std::function<bool()> check) {
   ready_check_ = std::move(check);
@@ -160,12 +67,6 @@ void AdminServer::set_ready_check(std::function<bool()> check) {
 
 void AdminServer::set_status_fields(std::function<void(JsonWriter&)> fields) {
   status_fields_ = std::move(fields);
-}
-
-void AdminServer::request_shutdown() noexcept {
-  shutdown_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
 void AdminServer::start() {
@@ -178,73 +79,24 @@ void AdminServer::stop() {
 }
 
 void AdminServer::run() {
-  if (listen_fd_ < 0) {
-    throw std::logic_error("AdminServer::run without listen_tcp/listen_unix");
-  }
-  while (!shutdown_requested()) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || shutdown_requested()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    set_cloexec(client);
-
-    // Reap before spawning: every accept joins the threads that already
-    // finished, so a steady scrape keeps the tracked set at the number of
-    // connections genuinely in flight instead of growing one joinable
-    // thread (and its retained stack) per request until pthread_create
-    // fails.
-    reap_finished_connections();
-
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    conn_threads_.push_back(
-        {std::thread([this, client, done] {
-           handle_connection(client);
-           ::close(client);
-           done->store(true, std::memory_order_release);
-         }),
-         done});
-  }
-
-  std::vector<Conn> conns;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (Conn& c : conns) c.thread.join();
-}
-
-void AdminServer::reap_finished_connections() {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  auto it = conn_threads_.begin();
-  while (it != conn_threads_.end()) {
-    if (it->done->load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = conn_threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::size_t AdminServer::tracked_connections() {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  return conn_threads_.size();
+  listener_.run([this](int fd) { handle_connection(fd); },
+                [](int fd) {
+                  // Over the connection cap: answer without blocking the
+                  // accept thread; the listener closes the socket.
+                  const std::string busy =
+                      plain(503, "too many connections\n");
+                  ::send(fd, busy.data(), busy.size(), MSG_DONTWAIT);
+                });
 }
 
 void AdminServer::handle_connection(int fd) {
   // One request per connection. Read until the blank line ending the head,
-  // bounded by kMaxRequestBytes (→ 431) and a 5 s overall deadline (→ 408);
-  // every wait also watches the self-pipe so shutdown unsticks us.
+  // bounded by kMaxRequestBytes (→ 431) and the connection layer's I/O
+  // deadline (→ 408); every wait also watches the wake fd so shutdown
+  // unsticks us.
   std::string buf;
-  const std::int64_t deadline_us = mono_us() + 5'000'000;
+  const std::int64_t deadline_us =
+      mono_us() + std::int64_t{net::kIoDeadlineMs} * 1'000;
   std::string response;
   while (true) {
     if (buf.find("\r\n\r\n") != std::string::npos ||
@@ -261,7 +113,7 @@ void AdminServer::handle_connection(int fd) {
       response = plain(408, "timed out reading request\n");
       break;
     }
-    pollfd fds[2] = {{fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+    pollfd fds[2] = {{fd, POLLIN, 0}, {listener_.wake_fd(), POLLIN, 0}};
     const int rc = ::poll(fds, 2, static_cast<int>(left_ms));
     if (rc < 0) {
       if (errno == EINTR) continue;
@@ -275,7 +127,7 @@ void AdminServer::handle_connection(int fd) {
     if (n <= 0) return;  // peer vanished before finishing the request
     buf.append(chunk, static_cast<std::size_t>(n));
   }
-  write_all(fd, response);
+  net::write_all(fd, response);
 }
 
 std::string AdminServer::respond(std::string_view head) {
@@ -350,7 +202,7 @@ std::string AdminServer::handle_tracez(std::string_view query) {
   while (!shutdown_requested()) {
     const std::int64_t left_ms = (until_us - mono_us()) / 1'000;
     if (left_ms <= 0) break;
-    pollfd p{wake_pipe_[0], POLLIN, 0};
+    pollfd p{listener_.wake_fd(), POLLIN, 0};
     ::poll(&p, 1, static_cast<int>(left_ms));
     if ((p.revents & POLLIN) != 0) break;
   }
@@ -365,21 +217,6 @@ std::string AdminServer::handle_tracez(std::string_view query) {
 // ---------------------------------------------------------------------------
 // Client side
 
-namespace {
-
-/// Bounds every connect/send/recv on the client socket: SO_SNDTIMEO covers
-/// connect() on Linux, SO_RCVTIMEO turns a wedged peer into EAGAIN instead
-/// of an indefinite block.
-void set_io_deadline(int fd, long timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
-
 int admin_http_get(const std::string& endpoint, const std::string& path,
                    std::string* body, std::string* error, long timeout_ms) {
   const auto fail = [&](const std::string& what) {
@@ -388,55 +225,12 @@ int admin_http_get(const std::string& endpoint, const std::string& path,
   };
   if (timeout_ms <= 0) timeout_ms = 10'000;
 
-  int fd = -1;
-  if (endpoint.rfind("unix:", 0) == 0) {
-    const std::string sock_path = endpoint.substr(5);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (sock_path.size() >= sizeof(addr.sun_path)) {
-      return fail("unix socket path too long");
-    }
-    std::memcpy(addr.sun_path, sock_path.c_str(), sock_path.size() + 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return fail(std::string("socket: ") + std::strerror(errno));
-    set_io_deadline(fd, timeout_ms);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const std::string e = std::strerror(errno);
-      ::close(fd);
-      return fail("connect(" + sock_path + "): " + e);
-    }
-  } else {
-    const std::size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos) {
-      return fail("endpoint must be host:port or unix:/path");
-    }
-    const std::string host = endpoint.substr(0, colon);
-    const int port = std::atoi(endpoint.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) return fail("bad port in endpoint");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    const std::string ip = host.empty() || host == "localhost"
-                               ? std::string("127.0.0.1")
-                               : host;
-    if (::inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
-      return fail("bad host (want a dotted-quad IPv4 address): " + host);
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return fail(std::string("socket: ") + std::strerror(errno));
-    set_io_deadline(fd, timeout_ms);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const std::string e = std::strerror(errno);
-      ::close(fd);
-      return fail("connect(" + endpoint + "): " + e);
-    }
-  }
+  const int fd = net::dial(endpoint, timeout_ms, error);
+  if (fd < 0) return -1;
 
   const std::string request =
       "GET " + path + " HTTP/1.1\r\nHost: admin\r\nConnection: close\r\n\r\n";
-  if (!write_all(fd, request)) {
+  if (!net::write_all(fd, request)) {
     ::close(fd);
     return fail("short write sending request");
   }

@@ -15,19 +15,19 @@
 // line that does not parse draws 400, headers beyond the cap draw 431, any
 // method but GET draws 405, unknown paths draw 404 — and in every case only
 // that connection dies; the accept loop and the daemon keep running. The
-// shutdown story is the same self-pipe idiom as serve::Server: every blocking
-// poll also watches the pipe, so request_shutdown() (async-signal-safe)
-// unsticks readers, /tracez waits, and the accept loop at once.
+// socket, accept loop and shutdown self-pipe are net::Listener's: every
+// blocking poll here also watches its wake fd, so request_shutdown()
+// (async-signal-safe) unsticks readers, /tracez waits, and the accept loop
+// at once.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+
+#include "net/net.h"
 
 namespace jsrev::obs {
 
@@ -47,14 +47,16 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  /// Binds a loopback-only TCP listener (port 0 picks an ephemeral port; see
-  /// bound_port()) or a Unix-domain listener. Throws std::runtime_error on
-  /// bind/listen failure.
-  void listen_tcp(std::uint16_t port, const std::string& bind_addr = {});
-  void listen_unix(const std::string& path);
+  /// Binds a TCP listener (loopback unless `bind_addr` names another IPv4
+  /// address; port 0 picks an ephemeral port, see bound_port()) or a
+  /// Unix-domain listener. Throws std::runtime_error on bind/listen failure.
+  void listen_tcp(std::uint16_t port, const std::string& bind_addr = {}) {
+    listener_.listen_tcp(port, bind_addr);
+  }
+  void listen_unix(const std::string& path) { listener_.listen_unix(path); }
 
   /// For TCP listeners bound to port 0: the actual port. 0 otherwise.
-  std::uint16_t bound_port() const { return bound_port_; }
+  std::uint16_t bound_port() const { return listener_.bound_port(); }
 
   /// Readiness probe behind /readyz; defaults to "always ready". Must be
   /// callable from any thread for the server's lifetime.
@@ -76,40 +78,24 @@ class AdminServer {
   void stop();
 
   /// Async-signal-safe graceful stop (one write to the self-pipe).
-  void request_shutdown() noexcept;
+  void request_shutdown() noexcept { listener_.request_shutdown(); }
 
   bool shutdown_requested() const noexcept {
-    return shutdown_.load(std::memory_order_relaxed);
+    return listener_.shutdown_requested();
   }
 
   /// Connection threads currently tracked (in-flight plus finished-but-not-
   /// yet-reaped). Exposed so tests can pin that the accept loop reaps: a
   /// steady scrape must not grow this without bound.
-  std::size_t tracked_connections();
+  std::size_t tracked_connections() { return listener_.tracked_connections(); }
 
  private:
-  // One accepted connection: its thread plus a flag the thread sets when it
-  // is done, so the accept loop can join() finished threads (glibc only
-  // reclaims a joinable thread's stack on join) without blocking on live
-  // ones.
-  struct Conn {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
   void handle_connection(int fd);
-  /// Joins and drops every tracked connection whose thread has finished.
-  void reap_finished_connections();
   /// Full HTTP response (status line + headers + body) for one request head.
   std::string respond(std::string_view head);
   std::string handle_tracez(std::string_view query);
 
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::string unix_path_;  // unlinked on destruction when non-empty
-
-  int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> shutdown_{false};
+  net::Listener listener_;
 
   std::function<bool()> ready_check_;
   std::function<void(JsonWriter&)> status_fields_;
@@ -117,8 +103,6 @@ class AdminServer {
 
   std::mutex trace_mu_;  // /tracez captures are serialized
 
-  std::mutex threads_mu_;
-  std::vector<Conn> conn_threads_;
   std::thread run_thread_;  // start()/stop()
 };
 
@@ -127,8 +111,9 @@ class AdminServer {
 /// response body (sans headers) and returns the HTTP status code, or -1 on
 /// connect/protocol failure (with an explanation in *error when non-null).
 /// Every connect/read/write is bounded by `timeout_ms` (values <= 0 mean the
-/// 10 s default, comfortably past the server's own 5 s request deadline), so
-/// a wedged daemon fails the call instead of hanging the caller.
+/// 10 s default, comfortably past the server's own net::kIoDeadlineMs request
+/// deadline), so a wedged daemon fails the call instead of hanging the
+/// caller.
 int admin_http_get(const std::string& endpoint, const std::string& path,
                    std::string* body, std::string* error = nullptr,
                    long timeout_ms = 10'000);

@@ -1,44 +1,17 @@
 #include "serve/server.h"
 
-#include <csignal>
-#include <cstring>
+#include <cerrno>
+#include <chrono>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/log.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace jsrev::serve {
-namespace {
-
-void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
-
-/// Writes all of `data` to `fd`, retrying on EINTR / partial writes.
-/// Returns false on any hard error (the peer hung up; SIGPIPE is ignored).
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-}  // namespace
 
 void Server::Conn::add_pending() {
   std::lock_guard<std::mutex> lock(pending_mu);
@@ -62,13 +35,13 @@ void Server::Conn::wait_idle() {
 Server::Server(const core::ModelView& model, ServeOptions opts)
     : max_payload_(model.parse_limits().max_source_bytes),
       batcher_(model, opts) {
-  ::signal(SIGPIPE, SIG_IGN);
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-  set_cloexec(wake_pipe_[0]);
-  set_cloexec(wake_pipe_[1]);
   connections_ = obs::metrics().counter("serve.connections");
+  rejected_connections_ = obs::metrics().counter(
+      "serve.rejected", {{"reason", "connections"}}, obs::kScheduleDependent);
   frame_errors_ = obs::metrics().counter("serve.errors",
                                          {{"kind", "frame"}});
+  timeout_errors_ = obs::metrics().counter("serve.errors",
+                                           {{"kind", "timeout"}});
   internal_errors_ = obs::metrics().counter("serve.errors",
                                             {{"kind", "internal"}});
 }
@@ -76,136 +49,41 @@ Server::Server(const core::ModelView& model, ServeOptions opts)
 Server::~Server() {
   request_shutdown();
   batcher_.shutdown();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
 }
 
 void Server::request_shutdown() noexcept {
   // Readiness drops first (both stores are async-signal-safe): any /readyz
   // probe racing the shutdown sees "draining" before connections do.
   ready_.store(false, std::memory_order_relaxed);
-  shutdown_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  // Best-effort, async-signal-safe: one write to the self-pipe wakes every
-  // poll(). The result is ignored — a full pipe already guarantees a wakeup.
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-}
-
-void Server::listen_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
-  set_cloexec(fd);
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(" + path + ")");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw_errno("listen(" + path + ")");
-  }
-  listen_fd_ = fd;
-  unix_path_ = path;
-}
-
-void Server::listen_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_INET)");
-  set_cloexec(fd);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw_errno("bind(127.0.0.1:" + std::to_string(port) + ")");
-  }
-  if (::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw_errno("listen");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
+  listener_.request_shutdown();
 }
 
 void Server::run() {
-  if (listen_fd_ < 0) {
-    throw std::logic_error("Server::run without listen_unix/listen_tcp");
-  }
-  while (!shutdown_requested()) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || shutdown_requested()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    set_cloexec(client);
-    connections_->add();
-
-    auto conn = std::make_shared<Conn>();
-    conn->in_fd = client;
-    conn->out_fd = client;
-    conn->own_fds = true;
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] {
-      // Backstop containment: an exception escaping the connection loop
-      // must cost one connection, never the process (an uncaught exception
-      // on a thread is std::terminate).
-      bool quit = false;
-      try {
-        quit = conn_loop(conn);
-      } catch (const std::exception& e) {
-        internal_errors_->add();
-        obs::LogRecord(obs::LogLevel::kError, "serve.conn_thread_error")
-            .kv("what", e.what());
-      }
-      conn->open.store(false, std::memory_order_relaxed);
-      ::close(conn->in_fd);  // == out_fd for accepted sockets
-      if (quit) request_shutdown();
-    });
-  }
-
-  // Drain: readers have stopped (self-pipe); finish in-flight work, flush
-  // every response, then join the connection threads.
+  listener_.run(
+      [this](int fd) {
+        connections_->add();
+        serve_fd(fd, fd);
+      },
+      [this](int fd) {
+        // Over the connection cap: one error frame, sent without blocking
+        // the accept thread; the listener closes the socket.
+        rejected_connections_->add();
+        Frame err;
+        err.type = FrameType::kError;
+        err.payload = "too many connections";
+        const std::string bytes = encode_frame(err);
+        ::send(fd, bytes.data(), bytes.size(), MSG_DONTWAIT);
+      });
   batcher_.drain();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-    conns_.clear();
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 void Server::serve_fd(int in_fd, int out_fd) {
   auto conn = std::make_shared<Conn>();
   conn->in_fd = in_fd;
   conn->out_fd = out_fd;
-  conn->own_fds = false;
+  // Backstop containment: an exception escaping the connection loop must
+  // cost one connection, never the process (an uncaught exception on a
+  // connection thread is std::terminate).
   bool quit = false;
   try {
     quit = conn_loop(conn);
@@ -219,14 +97,42 @@ void Server::serve_fd(int in_fd, int out_fd) {
 }
 
 bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
+  using Clock = std::chrono::steady_clock;
   std::string buf;
+  std::size_t off = 0;  // first byte of buf not yet decoded into a frame
+  // The frame partly in buf (off < buf.size()): when its first byte arrived,
+  // and its header id once the header is complete (0 before).
+  Clock::time_point frame_start;
+  std::uint32_t partial_id = 0;
   char chunk[64 * 1024];
   bool quit = false;
   bool reading = true;
 
   while (reading && !shutdown_requested()) {
-    pollfd fds[2] = {{conn->in_fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
+    // An idle connection may wait forever; a partial frame must complete
+    // within the I/O deadline of its first byte.
+    int timeout_ms = -1;
+    if (off < buf.size()) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          frame_start + std::chrono::milliseconds(net::kIoDeadlineMs) -
+          Clock::now());
+      if (left.count() <= 0) {
+        timeout_errors_->add();
+        static obs::LogRateLimit rl(/*per_sec=*/2.0, /*burst=*/10.0);
+        obs::LogRecord(obs::LogLevel::kWarn, "serve.frame_timeout", rl)
+            .kv("request_id", partial_id);
+        Frame err;
+        err.type = FrameType::kError;
+        err.id = partial_id;
+        err.payload = "frame timed out";
+        write_frame(conn, err);
+        break;
+      }
+      timeout_ms = static_cast<int>(left.count());
+    }
+    pollfd fds[2] = {{conn->in_fd, POLLIN, 0},
+                     {listener_.wake_fd(), POLLIN, 0}};
+    const int rc = ::poll(fds, 2, timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
@@ -237,14 +143,24 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
     const ssize_t n = ::read(conn->in_fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or hard error
+    const Clock::time_point read_at = Clock::now();
+    // Compact once per read (not once per frame): pipelined small frames
+    // would otherwise memmove the rest of the buffer for every frame.
+    buf.erase(0, off);
+    off = 0;
+    if (buf.empty()) frame_start = read_at;
     buf.append(chunk, static_cast<std::size_t>(n));
 
-    while (!buf.empty()) {
+    while (off < buf.size()) {
       Frame frame;
       std::size_t consumed = 0;
       const DecodeStatus st =
-          decode_frame(buf, max_payload_, &frame, &consumed);
-      if (st == DecodeStatus::kNeedMore) break;
+          decode_frame(std::string_view(buf).substr(off), max_payload_,
+                       &frame, &consumed);
+      if (st == DecodeStatus::kNeedMore) {
+        partial_id = frame.id;
+        break;
+      }
       if (st != DecodeStatus::kOk) {
         // Malformed wire data: answer with the reason, drop the connection,
         // keep the daemon alive. The stream cannot be resynced, so closing
@@ -263,7 +179,8 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
         reading = false;
         break;
       }
-      buf.erase(0, consumed);
+      off += consumed;
+      frame_start = read_at;  // any next frame began in this read
       const std::uint32_t frame_id = frame.id;
       Disposition d;
       try {
@@ -380,8 +297,17 @@ void Server::write_frame(const std::shared_ptr<Conn>& conn,
   if (!conn->open.load(std::memory_order_relaxed)) return;
   const std::string bytes = encode_frame(frame);
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (!write_all(conn->out_fd, bytes)) {
-    conn->open.store(false, std::memory_order_relaxed);
+  if (net::write_all(conn->out_fd, bytes)) return;
+  conn->open.store(false, std::memory_order_relaxed);
+  if (errno == EAGAIN || errno == EWOULDBLOCK) {
+    // The peer read nothing for a whole send deadline. Shut the socket both
+    // ways: the connection's reader sees EOF and stops, and this writer —
+    // often the batch worker — goes back to serving everyone else.
+    timeout_errors_->add();
+    static obs::LogRateLimit rl(/*per_sec=*/2.0, /*burst=*/10.0);
+    obs::LogRecord(obs::LogLevel::kWarn, "serve.write_timeout", rl)
+        .kv("request_id", frame.id);
+    ::shutdown(conn->out_fd, SHUT_RDWR);
   }
 }
 

@@ -1,25 +1,30 @@
-// Connection layer of the jsr_serve daemon.
+// Frame plane of the jsr_serve daemon.
 //
-// The Server owns the fd plumbing around serve::Batcher: it accepts
-// connections on a Unix-domain or TCP listener (or serves exactly one
-// fd pair — the daemon's --stdio mode and the in-process tests), reads
-// length-prefixed frames (serve/frame.h), routes kClassify payloads into the
-// Batcher, and writes responses back under a per-connection write lock so
-// batched completions never interleave bytes.
+// The Server speaks the frame protocol around serve::Batcher: on each
+// connection net::Listener accepts (or on exactly one fd pair — the daemon's
+// --stdio mode and the in-process tests) it reads length-prefixed frames
+// (serve/frame.h), routes kClassify payloads into the Batcher, and writes
+// responses back under a per-connection write lock so batched completions
+// never interleave bytes.
 //
 // Failure containment is the contract the malformed-frame tests pin down:
 // a bad magic byte, an unknown frame type, or an oversized payload draws a
 // kError response and closes that one connection — the accept loop, every
 // other connection, and the daemon itself keep running. Unparseable scripts
 // are not even an error: they flow through the ordinary unparseable ⇒
-// malicious verdict with the kParseFailed flag set.
+// malicious verdict with the kParseFailed flag set. Time is bounded per
+// connection: a frame must arrive whole within net::kIoDeadlineMs of its
+// first byte, and a response write that hits the socket's send timeout
+// closes the connection, so a peer that stops reading cannot hold the
+// batch worker. Both count as serve.errors{kind=timeout}.
 //
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
-// safe — SIGTERM/SIGINT handlers call it) tickles a self-pipe every reader
-// polls; readers stop consuming input, in-flight batches complete, their
-// responses flush, and run() joins every connection thread before returning.
-// A kQuit frame does the same dance and additionally answers kBye after the
-// drain, so a client can confirm its requests all landed.
+// safe — SIGTERM/SIGINT handlers call it) tickles the listener's self-pipe
+// every reader polls; readers stop consuming input, in-flight batches
+// complete, their responses flush, and run() joins every connection thread
+// before returning. A kQuit frame does the same dance and additionally
+// answers kBye after the drain, so a client can confirm its requests all
+// landed.
 #pragma once
 
 #include <atomic>
@@ -28,9 +33,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "net/net.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 
@@ -38,8 +42,9 @@ namespace jsrev::serve {
 
 class Server {
  public:
-  /// `model` must outlive the server. Installs a SIG_IGN for SIGPIPE (a
-  /// client hanging up mid-response must not kill the daemon).
+  /// `model` must outlive the server. SIGPIPE is ignored from here on (see
+  /// net::Listener): a client hanging up mid-response must not kill the
+  /// daemon.
   Server(const core::ModelView& model, ServeOptions opts);
   ~Server();
 
@@ -51,12 +56,13 @@ class Server {
   /// or kQuit, with every accepted request answered.
   void serve_fd(int in_fd, int out_fd);
 
-  /// Binds a listener. Throws std::runtime_error on bind/listen failure.
-  void listen_unix(const std::string& path);
-  void listen_tcp(std::uint16_t port);
+  /// Binds a listener (TCP on 127.0.0.1). Throws std::runtime_error on
+  /// bind/listen failure.
+  void listen_unix(const std::string& path) { listener_.listen_unix(path); }
+  void listen_tcp(std::uint16_t port) { listener_.listen_tcp(port); }
 
   /// For TCP listeners bound to port 0: the actual port. 0 otherwise.
-  std::uint16_t bound_port() const { return bound_port_; }
+  std::uint16_t bound_port() const { return listener_.bound_port(); }
 
   /// Accept loop: one reader thread per connection, until
   /// request_shutdown(). Joins every connection and drains the batcher
@@ -68,8 +74,12 @@ class Server {
   void request_shutdown() noexcept;
 
   bool shutdown_requested() const noexcept {
-    return shutdown_.load(std::memory_order_relaxed);
+    return listener_.shutdown_requested();
   }
+
+  /// Connection threads the accept loop tracks: live connections plus
+  /// finished ones the next accept joins.
+  std::size_t tracked_connections() { return listener_.tracked_connections(); }
 
   /// Readiness for the admin plane's /readyz: true from construction until
   /// the daemon starts draining — request_shutdown() and a received kQuit
@@ -84,7 +94,6 @@ class Server {
   struct Conn {
     int in_fd = -1;
     int out_fd = -1;
-    bool own_fds = false;  // accepted sockets are closed by us; stdio is not
     std::mutex write_mu;
     std::mutex pending_mu;
     std::condition_variable pending_cv;
@@ -114,22 +123,15 @@ class Server {
   // Frame payload cap: the model's max_source_bytes, enforced before a
   // payload buffers.
   const std::size_t max_payload_;
+  net::Listener listener_;
   Batcher batcher_;
 
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::string unix_path_;  // unlinked on destruction when non-empty
-
-  int wake_pipe_[2] = {-1, -1};  // self-pipe; [1] written by request_shutdown
-  std::atomic<bool> shutdown_{false};
   std::atomic<bool> ready_{true};
 
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
-
   obs::Counter* connections_ = nullptr;
+  obs::Counter* rejected_connections_ = nullptr;
   obs::Counter* frame_errors_ = nullptr;
+  obs::Counter* timeout_errors_ = nullptr;
   obs::Counter* internal_errors_ = nullptr;
 };
 

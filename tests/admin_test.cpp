@@ -18,13 +18,12 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/jsrevealer.h"
 #include "dataset/generator.h"
+#include "net/net.h"
 #include "obs/admin.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -459,15 +458,9 @@ class AdminHttpTest : public ::testing::Test {
   /// Raw request bytes in, full response text out (for malformed requests
   /// admin_http_get cannot express).
   std::string raw_request(const std::string& bytes) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(admin_.bound_port());
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
+    std::string error;
+    const int fd = net::dial(endpoint_, 10'000, &error);
+    EXPECT_GE(fd, 0) << error;
     EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
               static_cast<ssize_t>(bytes.size()));
     std::string response;
@@ -597,22 +590,12 @@ TEST_F(AdminHttpTest, SequentialScrapesDoNotAccumulateThreads) {
 // A peer that accepts but never answers must fail the client call after its
 // deadline instead of hanging --admin-get (and check.sh) forever.
 TEST(AdminClient, GetTimesOutAgainstSilentPeer) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(fd, 4), 0);
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len), 0);
+  net::Listener silent;
+  silent.listen_tcp(0);
   const std::string endpoint =
-      "127.0.0.1:" + std::to_string(ntohs(bound.sin_port));
+      "127.0.0.1:" + std::to_string(silent.bound_port());
 
-  // Never accept(): the connect lands in the backlog and no byte ever comes
+  // Never run(): the connect lands in the backlog and no byte ever comes
   // back, which is exactly the wedged-daemon shape the timeout exists for.
   std::string body, error;
   const auto t0 = std::chrono::steady_clock::now();
@@ -622,7 +605,36 @@ TEST(AdminClient, GetTimesOutAgainstSilentPeer) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+// Over the connection cap the admin plane answers 503 at once instead of
+// queueing the scrape behind connections that may idle for a full deadline.
+TEST(AdminUnix, ConnectionsOverTheCapGet503) {
+  const std::string path = "admin_test_cap.sock";
+  obs::AdminServer admin;
+  admin.listen_unix(path);
+  admin.start();
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    std::string error;
+    idle.push_back(net::dial("unix:" + path, 10'000, &error));
+    ASSERT_GE(idle.back(), 0) << error;
+  }
+
+  std::string error;
+  const int fd = net::dial("unix:" + path, 10'000, &error);
+  ASSERT_GE(fd, 0) << error;
+  std::string response;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
   ::close(fd);
+  EXPECT_EQ(response.rfind("HTTP/1.1 503", 0), 0u) << response;
+
+  for (const int c : idle) ::close(c);
+  admin.stop();
 }
 
 TEST(AdminUnix, ServesOverUnixSocket) {

@@ -3,10 +3,13 @@
 // scripts, garbage), Batcher bit-identity against the library path at
 // several parallel widths, admission control under overload, and the
 // Server's failure-containment and graceful-drain contracts over real
-// socketpairs — a malformed client loses its connection, never the daemon.
+// sockets (a malformed client loses its connection, never the daemon), plus
+// the per-connection bounds of the listener underneath: thread reaping, the
+// partial-frame and send deadlines, and the connection cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
@@ -15,15 +18,15 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
+#include "net/net.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
@@ -287,6 +290,15 @@ void send_all(int fd, const std::string& bytes) {
   }
 }
 
+/// Connects a test client; reads and writes on it fail after `timeout_ms`
+/// instead of hanging the suite.
+int connect_client(const std::string& endpoint, long timeout_ms = 60'000) {
+  std::string error;
+  const int fd = net::dial(endpoint, timeout_ms, &error);
+  EXPECT_GE(fd, 0) << error;
+  return fd;
+}
+
 /// Reads response frames from `fd` until `n` have arrived or EOF.
 std::vector<serve::Frame> read_frames(int fd, std::size_t n) {
   std::vector<serve::Frame> frames;
@@ -321,16 +333,9 @@ TEST_F(ServeFixture, ConcurrentClientsMatchLibrary) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(server.bound_port());
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0) {
-        ::close(fd);
-        return;
-      }
+      const int fd =
+          connect_client("127.0.0.1:" + std::to_string(server.bound_port()));
+      if (fd < 0) return;
       std::string out;
       for (std::size_t i = 0; i < scripts_->size(); ++i) {
         serve::append_frame(
@@ -364,20 +369,12 @@ TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
   server.listen_tcp(0);
   std::thread daemon([&] { server.run(); });
 
-  const auto connect_client = [&]() -> int {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server.bound_port());
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    return fd;
-  };
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(server.bound_port());
 
   // Client A sends garbage: it gets an error frame, then EOF.
   {
-    const int fd = connect_client();
+    const int fd = connect_client(endpoint);
     send_all(fd, "this is not a frame");
     const std::vector<serve::Frame> frames = read_frames(fd, 1);
     ASSERT_EQ(frames.size(), 1u);
@@ -389,7 +386,7 @@ TEST_F(ServeFixture, MalformedFrameClosesOnlyThatConnection) {
 
   // Client B, connected afterwards, is served normally: the daemon survived.
   {
-    const int fd = connect_client();
+    const int fd = connect_client(endpoint);
     send_all(fd, serve::encode_frame(classify_frame(5, "var ok = 1;")));
     const std::vector<serve::Frame> frames = read_frames(fd, 1);
     ASSERT_EQ(frames.size(), 1u);
@@ -490,6 +487,179 @@ TEST_F(ServeFixture, PingStatsAndParseFailedFlag) {
   EXPECT_TRUE(saw_pong);
   EXPECT_TRUE(saw_verdict);
   EXPECT_TRUE(saw_stats);
+}
+
+// ---------------------------------------------------------------------------
+// Per-connection bounds: threads, time and the connection count.
+// ---------------------------------------------------------------------------
+
+serve::Frame ping_frame(std::uint32_t id) {
+  serve::Frame f;
+  f.type = serve::FrameType::kPing;
+  f.id = id;
+  return f;
+}
+
+std::uint64_t counter_value(const char* name, const char* key,
+                            const char* value) {
+  return obs::metrics().counter(name, {{key, value}})->value();
+}
+
+/// Milliseconds since `t0`.
+double elapsed_ms(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST_F(ServeFixture, SequentialConnectionsDoNotAccumulateThreads) {
+  serve::Server server(*model_, {});
+  server.listen_tcp(0);
+  std::thread daemon([&] { server.run(); });
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(server.bound_port());
+
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const int fd = connect_client(endpoint);
+    ASSERT_GE(fd, 0) << "connection " << i;
+    send_all(fd, serve::encode_frame(ping_frame(i)));
+    const std::vector<serve::Frame> frames = read_frames(fd, 1);
+    ::close(fd);
+    ASSERT_EQ(frames.size(), 1u) << "connection " << i;
+    ASSERT_EQ(frames[0].type, serve::FrameType::kPong);
+  }
+  // Each accept joins the threads that already finished; only the last few
+  // connections can still be in flight.
+  EXPECT_LE(server.tracked_connections(), 8u);
+
+  server.request_shutdown();
+  daemon.join();
+}
+
+// A client that asks for many large responses and reads none of them fills
+// its socket; the write that blocks is the batch worker's. The send deadline
+// must close that connection and free the worker for everyone else.
+TEST_F(ServeFixture, NonReadingClientDoesNotStallOthers) {
+  const std::string path = "serve_test_stall.sock";
+  serve::Server server(*model_, {});
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+  const std::uint64_t timeouts_before =
+      counter_value("serve.errors", "kind", "timeout");
+  obs::Counter* requests = obs::metrics().counter("serve.requests");
+  const std::uint64_t requests_before = requests->value();
+
+  constexpr std::uint32_t kStalled = 3000;
+  const int stalled = connect_client("unix:" + path);
+  std::string out;
+  for (std::uint32_t i = 1; i <= kStalled; ++i) {
+    serve::append_frame(
+        classify_frame(i, "var v" + std::to_string(i) + " = " +
+                              std::to_string(i) + ";",
+                       serve::kWantProvenance),
+        &out);
+  }
+  send_all(stalled, out);
+  // The second client's request must queue behind all of these.
+  for (int i = 0; i < 3000 && requests->value() - requests_before < kStalled;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(requests->value() - requests_before, kStalled);
+
+  const int fd = connect_client("unix:" + path, 2 * net::kIoDeadlineMs);
+  const auto t0 = std::chrono::steady_clock::now();
+  send_all(fd, serve::encode_frame(classify_frame(1, "var ok = 1;")));
+  const std::vector<serve::Frame> frames = read_frames(fd, 1);
+  const double waited_ms = elapsed_ms(t0);
+  ASSERT_EQ(frames.size(), 1u) << "no answer within two send deadlines";
+  EXPECT_EQ(frames[0].type, serve::FrameType::kVerdict);
+  EXPECT_LT(waited_ms, 2.0 * net::kIoDeadlineMs);
+  EXPECT_GT(counter_value("serve.errors", "kind", "timeout"),
+            timeouts_before);
+
+  ::close(fd);
+  ::close(stalled);
+  server.request_shutdown();
+  daemon.join();
+}
+
+TEST_F(ServeFixture, PartialFrameTimesOut) {
+  const std::string path = "serve_test_partial.sock";
+  serve::Server server(*model_, {});
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+
+  // A header declaring 100 payload bytes, then only 10 of them.
+  std::string wire =
+      serve::encode_frame(classify_frame(7, std::string(100, 'x')));
+  wire.resize(serve::kFrameHeaderBytes + 10);
+  const int fd = connect_client("unix:" + path, 2 * net::kIoDeadlineMs);
+  const auto t0 = std::chrono::steady_clock::now();
+  send_all(fd, wire);
+
+  const std::vector<serve::Frame> frames = read_frames(fd, 1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, serve::FrameType::kError);
+  EXPECT_EQ(frames[0].id, 7u);
+  EXPECT_EQ(frames[0].payload, "frame timed out");
+  char byte;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);  // then EOF
+  EXPECT_LT(elapsed_ms(t0), 2.0 * net::kIoDeadlineMs);
+  ::close(fd);
+
+  server.request_shutdown();
+  daemon.join();
+}
+
+TEST_F(ServeFixture, ConnectionCapRejectsUntilASlotFrees) {
+  const std::string path = "serve_test_cap.sock";
+  const std::string endpoint = "unix:" + path;
+  serve::Server server(*model_, {});
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+  const std::uint64_t rejected_before =
+      counter_value("serve.rejected", "reason", "connections");
+
+  // Idle connections have no deadline, so all of these stay live.
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    idle.push_back(connect_client(endpoint));
+    ASSERT_GE(idle.back(), 0);
+  }
+
+  // The next one is answered with an error, then closed.
+  {
+    const int fd = connect_client(endpoint);
+    const std::vector<serve::Frame> frames = read_frames(fd, 1);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].type, serve::FrameType::kError);
+    EXPECT_EQ(frames[0].payload, "too many connections");
+    char byte;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);
+    ::close(fd);
+  }
+  EXPECT_GT(counter_value("serve.rejected", "reason", "connections"),
+            rejected_before);
+
+  // Once one idle client leaves, a new connection is served (its thread may
+  // take a moment to notice the EOF).
+  ::close(idle.back());
+  idle.pop_back();
+  bool served = false;
+  for (int attempt = 0; attempt < 200 && !served; ++attempt) {
+    const int fd = connect_client(endpoint);
+    send_all(fd, serve::encode_frame(ping_frame(1)));
+    const std::vector<serve::Frame> frames = read_frames(fd, 1);
+    ::close(fd);
+    served = frames.size() == 1 && frames[0].type == serve::FrameType::kPong;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served);
+
+  for (const int fd : idle) ::close(fd);
+  server.request_shutdown();
+  daemon.join();
 }
 
 }  // namespace
