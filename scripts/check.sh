@@ -185,6 +185,27 @@ if command -v python3 > /dev/null; then
   python3 -m json.tool "${BUILD_DIR}/admin_statusz.json" > /dev/null
   echo "admin /statusz is valid JSON"
 fi
+# One CLASSIFY frame for the dropper sample before the scrape: the daemon
+# books each request's stages into stage_ms{stage}, which /metrics renders
+# as jsr_stage_seconds.
+if command -v python3 > /dev/null; then
+  python3 - "${admin_sock}" examples/samples/dropper.js <<'PY'
+import socket, struct, sys
+source = open(sys.argv[2], "rb").read()
+with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+    s.settimeout(30)
+    s.connect(sys.argv[1])
+    s.sendall(b"JR\x01\x00" + struct.pack("<II", 7, len(source)) + source)
+    reply = b""
+    while len(reply) < 12:
+        chunk = s.recv(64)
+        if not chunk:
+            sys.exit("classify: EOF before VERDICT")
+        reply += chunk
+    if reply[2] != 0x81:
+        sys.exit(f"classify: expected VERDICT, got type {reply[2]:#x}")
+PY
+fi
 "${BUILD_DIR}/tools/jsr_serve" --admin-get "${admin_ep}" /metrics \
     > "${BUILD_DIR}/admin_metrics.prom"
 "${BUILD_DIR}/tools/jsr_stats" --validate "${BUILD_DIR}/admin_metrics.prom"
@@ -192,6 +213,13 @@ grep -q '^jsr_build_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_build_info gauge missing" >&2; exit 1; }
 grep -q '^jsr_model_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_model_info gauge missing" >&2; exit 1; }
+if command -v python3 > /dev/null; then
+  awk '$1 == "jsr_stage_seconds_count{stage=\"path_traversal\"}" && $2 >= 1 {
+         found = 1 } END { exit !found }' "${BUILD_DIR}/admin_metrics.prom" \
+      || { echo "admin smoke FAILED: no path_traversal stage sample" >&2
+           kill "${admin_pid}" 2> /dev/null || true; exit 1; }
+  echo "admin /metrics exports the daemon's per-request stage series"
+fi
 # Connection-layer bound: 3000 sequential one-PING connections to the frame
 # socket. A connection thread that is never joined keeps its stack mapped,
 # so /proc/PID/maps must stay nearly flat; the admin plane must still answer.

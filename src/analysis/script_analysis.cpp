@@ -73,6 +73,7 @@ void ScriptAnalysis::ensure_parsed() const {
         obs::metrics().counter("analysis.parse.failed");
     static obs::Counter* limit_counter =
         obs::metrics().counter("analysis.parse.limit_trips");
+    static obs::Summary* parse_stage = obs::stage_summary("parse");
     Timer t;
     try {
       ast_ = js::parse(source_, limits_);
@@ -85,6 +86,7 @@ void ScriptAnalysis::ensure_parsed() const {
     }
     if (parse_ok_ && deobfuscate_) normalize();
     parse_ms_ = t.elapsed_ms();
+    if (parse_ok_) parse_stage->observe(parse_ms_);
   });
   MemoCounters& memo = parse_memo();
   (computed ? memo.miss : memo.hit)->add();
@@ -145,14 +147,6 @@ const js::Node* ScriptAnalysis::root() const {
 
 double ScriptAnalysis::parse_ms() const {
   ensure_parsed();
-  return parse_ms_;
-}
-
-double ScriptAnalysis::take_parse_cost() const {
-  ensure_parsed();
-  if (parse_cost_taken_.exchange(true, std::memory_order_relaxed)) {
-    return 0.0;
-  }
   return parse_ms_;
 }
 

@@ -15,7 +15,6 @@
 // classify_or_malicious) rather than in per-detector try/catch blocks.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -77,18 +76,13 @@ class ScriptAnalysis {
   const js::Node* root() const;
 
   /// Wall-clock cost of this script's parse (0.0 until the parse runs).
+  /// A successful parse books this once into obs::stage_summary("parse"),
+  /// when it runs, so re-reading a warm analysis never books it again.
   double parse_ms() const;
 
   /// True when the parse failure came from a ParseLimits bound (depth,
   /// source bytes, token count) rather than malformed syntax.
   bool parse_limit_trip() const;
-
-  /// Claims this script's parse cost for per-stage accounting: the first
-  /// caller receives parse_ms(), every later caller receives 0.0. Detectors
-  /// sampling stage timings use this so re-evaluating a warm analysis does
-  /// not re-book a parse that never re-ran (the memoized cost would
-  /// otherwise inflate the stage's work/wall speedup without bound).
-  double take_parse_cost() const;
 
   /// Opt-in verdict provenance: after enable_provenance(), a
   /// provenance-aware detector (JsRevealer) fills the record as classify()
@@ -132,7 +126,6 @@ class ScriptAnalysis {
   mutable bool parse_ok_ = false;
   mutable std::string parse_error_;
   mutable double parse_ms_ = 0.0;
-  mutable std::atomic<bool> parse_cost_taken_{false};
   std::unique_ptr<obs::VerdictProvenance> provenance_;
 
   mutable std::once_flag tokens_once_;

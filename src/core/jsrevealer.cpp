@@ -6,19 +6,13 @@
 #include <stdexcept>
 
 #include "ml/decision_tree.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace jsrev::core {
-
-void StageTimings::reset_inference() {
-  parse.reset();
-  enhanced_ast.reset();
-  path_traversal.reset();
-  embedding.reset();
-  classifying.reset();
-}
 
 JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
   if (cfg_.trace) obs::Tracer::global().set_enabled(true);
@@ -33,7 +27,11 @@ JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
 }
 
 std::vector<paths::PathContext> JsRevealer::extract(
-    const analysis::ScriptAnalysis& analysis, bool timed) const {
+    const analysis::ScriptAnalysis& analysis) const {
+  static obs::Summary* const enhanced_ast_stage =
+      obs::stage_summary("enhanced_ast");
+  static obs::Summary* const path_traversal_stage =
+      obs::stage_summary("path_traversal");
   if (analysis.parse_failed()) {
     throw std::runtime_error(analysis.parse_error());
   }
@@ -45,25 +43,17 @@ std::vector<paths::PathContext> JsRevealer::extract(
   Timer t1;
   const analysis::DataFlowInfo* flow =
       cfg_.path.use_dataflow ? &analysis.dataflow() : nullptr;
-  const double ast_ms = t1.elapsed_ms();
+  enhanced_ast_stage->observe(t1.elapsed_ms());
 
   Timer t2;
   auto pcs = paths::extract_paths(analysis.root(), flow, cfg_.path);
-  const double traverse_ms = t2.elapsed_ms();
-
-  if (timed) {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.parse.add(analysis.take_parse_cost());
-    timings_.enhanced_ast.add(ast_ms);
-    timings_.path_traversal.add(traverse_ms);
-  }
+  path_traversal_stage->observe(t2.elapsed_ms());
   return pcs;
 }
 
 void JsRevealer::train(const dataset::Corpus& corpus) {
   obs::Span train_span("core.train", "core");
   Rng rng(cfg_.seed);
-  timings_.threads = resolve_threads(cfg_.threads);
 
   // ---- Stage 1: path extraction over the training corpus (grows vocab) ---
   // Parse + enhanced-AST analysis + path enumeration fan out per file (the
@@ -79,12 +69,11 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   std::vector<std::vector<double>> lint_vecs(n_samples);
   {
     obs::Span span("core.train.extract", "core");
-    Timer t_wall;
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
       const analysis::ScriptAnalysis a(corpus.samples[i].source, {},
                                        cfg_.deobfuscate);
       try {
-        extracted[i] = extract(a, /*timed=*/true);
+        extracted[i] = extract(a);
       } catch (const std::exception&) {
         // unparseable training sample contributes nothing
       }
@@ -92,7 +81,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
         lint_vecs[i] = lint::lint_feature_vector(linter_.lint(a));
       }
     });
-    timings_.enhanced_ast.add_wall(t_wall.elapsed_ms());
   }
 
   std::vector<std::vector<std::int32_t>> script_ids(n_samples);
@@ -139,8 +127,8 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     const double total = t.elapsed_ms();
     if (!train_scripts.empty()) {
       // Table VIII reports pre-training time per file.
-      timings_.pretraining.add(total /
-                               static_cast<double>(train_scripts.size()));
+      obs::stage_summary("pretraining")
+          ->observe(total / static_cast<double>(train_scripts.size()));
     }
   }
 
@@ -186,8 +174,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     } else {
       out = ml::run_outlier(outlier_method_, vecs, ocfg);
     }
-    timings_.outlier.add(t_out.elapsed_ms());
-    timings_.outlier.add_wall(t_out.elapsed_ms());
+    obs::stage_summary("outlier")->observe(t_out.elapsed_ms());
 
     std::size_t kept = 0;
     for (std::size_t r = 0; r < vecs.rows(); ++r) kept += !out.is_outlier[r];
@@ -221,8 +208,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   km.seed = rng();
   km.threads = cfg_.threads;
   const ml::Clustering cm = ml::bisecting_kmeans(malicious_vecs, km);
-  timings_.clustering.add(t_cluster.elapsed_ms());
-  timings_.clustering.add_wall(t_cluster.elapsed_ms());
+  obs::stage_summary("clustering")->observe(t_cluster.elapsed_ms());
 
   // ---- Stage 4: overlap removal between the two cluster sets --------------
   const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
@@ -313,7 +299,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   std::vector<int> y(n_samples);
   {
     obs::Span span("core.train.featurize", "core");
-    Timer t_wall;
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
       ml::EmbeddedScript emb = model_.embed(script_ids[i]);
       const std::vector<double> f = features_from_embedding(emb);
@@ -324,16 +309,15 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       }
       y[i] = labels[i];
     });
-    timings_.embedding.add_wall(t_wall.elapsed_ms());
   }
   scaler_.fit(x);
   scaler_.transform(x);
 
   Timer t_fit;
   classifier_->fit(x, y);
-  timings_.classifier_train.add(t_fit.elapsed_ms() /
-                                std::max<std::size_t>(1, x.rows()));
-  timings_.classifier_train.add_wall(t_fit.elapsed_ms());
+  obs::stage_summary("classifier_train")
+      ->observe(t_fit.elapsed_ms() /
+                static_cast<double>(std::max<std::size_t>(1, x.rows())));
 
   // ---- Stage 6: attach the owned view every inference call runs through --
   // The bytes were checksummed as they were written, so the attach skips
@@ -358,30 +342,13 @@ std::vector<double> JsRevealer::features_from_embedding(
   return cluster_features(p, emb);
 }
 
-void JsRevealer::book_stages(const analysis::ScriptAnalysis& analysis,
-                             const obs::StageDurationsMs& ms,
-                             bool predicted) const {
-  std::lock_guard<std::mutex> lock(timing_mu_);
-  // take_parse_cost: the parse is booked by its first claimant only, so a
-  // warm (already-parsed) analysis contributes a zero sample instead of
-  // re-booking work that did not run in this batch.
-  timings_.parse.add(analysis.take_parse_cost());
-  timings_.enhanced_ast.add(ms.enhanced_ast);
-  timings_.path_traversal.add(ms.path_traversal);
-  timings_.embedding.add(ms.embedding);
-  if (predicted) timings_.classifying.add(ms.classify);
-}
-
 std::vector<double> JsRevealer::featurize(const std::string& source) const {
   return featurize(analysis::ScriptAnalysis(source, {}, cfg_.deobfuscate));
 }
 
 std::vector<double> JsRevealer::featurize(
     const analysis::ScriptAnalysis& analysis) const {
-  obs::StageDurationsMs ms;
-  std::vector<double> f = view_.featurize_timed(analysis, &ms);
-  book_stages(analysis, ms, /*predicted=*/false);
-  return f;
+  return view_.featurize(analysis);
 }
 
 int JsRevealer::classify(const std::string& source) const {
@@ -390,10 +357,7 @@ int JsRevealer::classify(const std::string& source) const {
 
 int JsRevealer::classify(const analysis::ScriptAnalysis& analysis) const {
   obs::Span span("core.classify", "core");
-  std::optional<obs::StageDurationsMs> ms;
-  const int verdict = view_.classify_timed(analysis, name(), &ms);
-  if (ms) book_stages(analysis, *ms, /*predicted=*/true);
-  return record_verdict(verdict);
+  return record_verdict(view_.classify_timed(analysis, name()));
 }
 
 obs::VerdictProvenance JsRevealer::explain(const std::string& source) const {
@@ -407,18 +371,9 @@ template <typename Item>
 std::vector<int> JsRevealer::classify_batch(std::size_t n, Item item) const {
   std::vector<int> verdicts(n, 1);
   obs::Span span("core.classify_all", "core");
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.reset_inference();  // this batch's stages only (see StageTimings)
-  }
-  Timer t_wall;
   parallel_for_threads(cfg_.threads, n, [&](std::size_t i) {
     verdicts[i] = classify(item(i));
   });
-  {
-    std::lock_guard<std::mutex> lock(timing_mu_);
-    timings_.classifying.add_wall(t_wall.elapsed_ms());
-  }
   return verdicts;
 }
 
@@ -499,7 +454,7 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
         std::vector<paths::PathContext> pcs;
         try {
           const analysis::ScriptAnalysis a(s.source, {}, cfg_.deobfuscate);
-          pcs = extract(a, /*timed=*/false);
+          pcs = extract(a);
         } catch (const std::exception&) {
           return;
         }

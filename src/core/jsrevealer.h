@@ -6,12 +6,13 @@
 // (core/model_format.h) to memory and attaching an owned core::ModelView
 // over it; featurize, classify, explain and classify_all forward to that
 // view, so the detector that trained a model and every process that maps its
-// artifact run one inference implementation.
+// artifact run one inference implementation. Stage durations (Table VIII)
+// are booked into obs::stage_summary where each stage runs: train() books
+// the training stages, the view books the per-request ones.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "ml/outlier.h"
 #include "ml/scaler.h"
 #include "paths/vocab.h"
-#include "util/timer.h"
 
 namespace jsrev::core {
 
@@ -36,39 +36,6 @@ struct FeatureReportEntry {
   double importance = 0.0;
   bool from_benign = false;   // cluster learned from benign vs malicious set
   std::string central_path;   // representative path context of the center
-};
-
-/// Per-module timing aggregates for the Table VIII reproduction.
-///
-/// Per-item samples (TimingStats::add) are recorded as before; in addition
-/// each parallel region records its wall-clock on the stage that dominates
-/// it (TimingStats::add_wall), so total()/wall_ms() shows the effective
-/// speedup at the `threads` width the pipeline ran with. The fused
-/// parse+analysis+path-enumeration region books its wall on enhanced_ast.
-///
-/// The parse and the scope/data-flow augmentation are decoupled stages now
-/// that parsing lives in the shared ScriptAnalysis artifact, so they are
-/// sampled separately; parse.mean() + enhanced_ast.mean() equals the old
-/// fused enhanced-AST figure.
-struct StageTimings {
-  TimingStats parse{"parse"};          // js::parse (lex + parse + finalize)
-  TimingStats enhanced_ast{"enhanced_ast"};  // scope + data-flow augmentation
-  TimingStats path_traversal{"path_traversal"};  // path-context enumeration
-  TimingStats pretraining{"pretraining"};  // embedding training (per file)
-  TimingStats embedding{"embedding"};  // per-file embedding at inference
-  TimingStats outlier{"outlier"};      // outlier detection (train once)
-  TimingStats clustering{"clustering"};  // bisecting k-means (train once)
-  TimingStats classifier_train{"classifier_train"};
-  TimingStats classifying{"classifying"};  // classifier predict per file
-  std::size_t threads = 1;      // resolved parallel width used by train()
-
-  /// Zeroes the per-script inference stages (parse, enhanced AST, path
-  /// traversal, embedding, classifying — the train-once stages are kept).
-  /// classify_all calls this on entry so each batch reports only its own
-  /// work and wall time: without the reset, a re-evaluated warm corpus
-  /// stacks fresh per-item samples onto stale wall totals and the apparent
-  /// sum/wall speedup grows past the physical thread count.
-  void reset_inference();
 };
 
 class JsRevealer final : public detect::Detector {
@@ -126,8 +93,6 @@ class JsRevealer final : public detect::Detector {
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
-  const StageTimings& timings() const { return timings_; }
-
   /// SSE curve helper for the Fig. 5 elbow plot: clusters one class's path
   /// vectors (collected exactly as train() does) at each K in [k_lo, k_hi]
   /// and returns the SSE per K. `label` selects benign (0) / malicious (1).
@@ -144,10 +109,10 @@ class JsRevealer final : public detect::Detector {
 
  private:
   /// Training-time path extraction from a shared analysis (forcing its
-  /// data-flow artifacts as needed); throws std::runtime_error on parse
-  /// failure.
+  /// data-flow artifacts as needed), booking the enhanced-AST and path
+  /// traversal stages; throws std::runtime_error on parse failure.
   std::vector<paths::PathContext> extract(
-      const analysis::ScriptAnalysis& analysis, bool timed) const;
+      const analysis::ScriptAnalysis& analysis) const;
 
   /// Cluster-membership features (attention weight accumulated per cluster)
   /// of a training script, before scaling.
@@ -161,13 +126,7 @@ class JsRevealer final : public detect::Detector {
   /// The view's bytes, after save_artifact()'s preconditions.
   std::span<const std::uint8_t> artifact_bytes() const;
 
-  /// Books one inference request's stage durations (as the view reported
-  /// them) into timings_; `predicted` adds the classifying sample.
-  void book_stages(const analysis::ScriptAnalysis& analysis,
-                   const obs::StageDurationsMs& ms, bool predicted) const;
-
-  /// classify_all body over `n` items: per-batch timing reset, fan-out at
-  /// cfg_.threads, wall booked on the classifying stage.
+  /// classify_all body over `n` items: fan-out at cfg_.threads.
   template <typename Item>
   std::vector<int> classify_batch(std::size_t n, Item item) const;
 
@@ -189,8 +148,6 @@ class JsRevealer final : public detect::Detector {
   ml::MinMaxScaler scaler_;
   std::unique_ptr<ml::Classifier> classifier_;
   ModelView view_;  // owned view over this detector's artifact
-  mutable StageTimings timings_;
-  mutable std::mutex timing_mu_;
   bool trained_ = false;
 };
 

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -339,20 +340,21 @@ std::vector<double> ModelView::featurize(const std::string& source) const {
 
 std::vector<double> ModelView::featurize(
     const analysis::ScriptAnalysis& analysis) const {
-  obs::StageDurationsMs ms;
-  return featurize_timed(analysis, &ms);
-}
-
-std::vector<double> ModelView::featurize_timed(
-    const analysis::ScriptAnalysis& analysis,
-    obs::StageDurationsMs* ms) const {
+  static obs::Summary* const enhanced_ast_stage =
+      obs::stage_summary("enhanced_ast");
+  static obs::Summary* const path_traversal_stage =
+      obs::stage_summary("path_traversal");
+  static obs::Summary* const embedding_stage = obs::stage_summary("embedding");
   if (!loaded()) {
     throw std::logic_error("ModelView: no artifact attached");
   }
   if (analysis.parse_failed()) {
     throw std::runtime_error(analysis.parse_error());
   }
-  ms->parse = analysis.parse_ms();
+  // The parse was booked when it ran (ScriptAnalysis); provenance still
+  // reports its cost.
+  obs::StageDurationsMs ms;
+  ms.parse = analysis.parse_ms();
 
   // Forcing dataflow() is free when another consumer (lint, a second
   // detector) already materialized it on the shared analysis; the sampled
@@ -360,29 +362,34 @@ std::vector<double> ModelView::featurize_timed(
   Timer t_ast;
   const analysis::DataFlowInfo* flow =
       path_cfg_.use_dataflow ? &analysis.dataflow() : nullptr;
-  ms->enhanced_ast = t_ast.elapsed_ms();
+  ms.enhanced_ast = t_ast.elapsed_ms();
+  enhanced_ast_stage->observe(ms.enhanced_ast);
 
   Timer t_paths;
   const auto pcs = paths::extract_paths(analysis.root(), flow, path_cfg_);
-  ms->path_traversal = t_paths.elapsed_ms();
+  ms.path_traversal = t_paths.elapsed_ms();
+  path_traversal_stage->observe(ms.path_traversal);
 
   Timer t_embed;
   std::vector<std::int32_t> ids;
   ids.reserve(pcs.size());
   for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
   ml::EmbeddedScript emb = ml::embed_paths(attn_, ids);
-  ms->embedding = t_embed.elapsed_ms();
+  ms.embedding = t_embed.elapsed_ms();
+  embedding_stage->observe(ms.embedding);
 
   obs::VerdictProvenance* prov = analysis.provenance();
   std::vector<double> f = cluster_features(cluster_, emb, prov);
   if (header_.lint_dim != 0) {
     // Shares the analysis' memoized AST/scope/data-flow with the path
     // extraction above: the lint tail costs no second parse.
+    static obs::Summary* const lint_stage = obs::stage_summary("lint");
     Timer t_lint;
     const lint::LintResult lr = linter_.lint(analysis);
     const std::vector<double> lf = lint::lint_feature_vector(lr);
     f.insert(f.end(), lf.begin(), lf.end());
-    ms->lint = t_lint.elapsed_ms();
+    ms.lint = t_lint.elapsed_ms();
+    lint_stage->observe(ms.lint);
     if (prov != nullptr) {
       prov->lint_malice_diags = 0;
       prov->lint_hygiene_diags = 0;
@@ -409,7 +416,7 @@ std::vector<double> ModelView::featurize_timed(
         std::count_if(ids.begin(), ids.end(),
                       [](std::int32_t id) { return id >= 0; }));
     prov->train_clusters_removed = header_.clusters_removed;
-    prov->stage_ms = *ms;
+    prov->stage_ms = ms;
   }
   ml::scale_row(f.data(), scaler_min_, scaler_max_, f.size());
   return f;
@@ -421,12 +428,12 @@ int ModelView::classify(const std::string& source) const {
 }
 
 int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
-  return record_verdict(classify_timed(analysis, name(), nullptr));
+  return record_verdict(classify_timed(analysis, name()));
 }
 
-int ModelView::classify_timed(
-    const analysis::ScriptAnalysis& analysis, const std::string& detector,
-    std::optional<obs::StageDurationsMs>* stages) const {
+int ModelView::classify_timed(const analysis::ScriptAnalysis& analysis,
+                              const std::string& detector) const {
+  static obs::Summary* const classify_stage = obs::stage_summary("classify");
   obs::VerdictProvenance* prov = analysis.provenance();
   if (prov != nullptr) {
     prov->detector = detector;
@@ -439,14 +446,13 @@ int ModelView::classify_timed(
   }
   const int verdict = analysis.classify_or_malicious([&]() -> int {
     try {
-      obs::StageDurationsMs ms;
-      const std::vector<double> f = featurize_timed(analysis, &ms);
+      const std::vector<double> f = featurize(analysis);
       Timer t;
       const int v = classifier_ != nullptr ? classifier_->predict(f.data())
                                            : forest_.predict(f.data());
-      ms.classify = t.elapsed_ms();
-      if (prov != nullptr) prov->stage_ms.classify = ms.classify;
-      if (stages != nullptr) *stages = ms;
+      const double classify_ms = t.elapsed_ms();
+      classify_stage->observe(classify_ms);
+      if (prov != nullptr) prov->stage_ms.classify = classify_ms;
       return v;
     } catch (const std::exception&) {
       return 1;  // degenerate input that survives the parse → same verdict

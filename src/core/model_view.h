@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,6 +115,11 @@ class ModelView final : public detect::Detector {
   /// Feature vector for one script (scaled, lint tail included). Throws
   /// std::runtime_error when the script does not parse and
   /// std::logic_error when no artifact is attached.
+  ///
+  /// The analysis overload is the one featurize body: it books the
+  /// enhanced-AST, path traversal, embedding and (with a lint tail) lint
+  /// durations into obs::stage_summary, and fills the provenance record
+  /// when the analysis captures one.
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
@@ -151,19 +155,12 @@ class ModelView final : public detect::Detector {
  private:
   friend class JsRevealer;  // trains into an owned view (see classifier_)
 
-  /// The one featurize body: fills `ms` with the parse, enhanced-AST, path
-  /// traversal, embedding and lint durations, and the provenance record
-  /// when the analysis captures one.
-  std::vector<double> featurize_timed(const analysis::ScriptAnalysis& analysis,
-                                      obs::StageDurationsMs* ms) const;
-
   /// The one classify body, without booking the verdict (callers book it
   /// under their own name()). `detector` is the name provenance records.
-  /// When the script was featurized and predicted, its stage durations land
-  /// in `*stages` (may be null).
+  /// A script that was featurized and predicted books its predict time into
+  /// obs::stage_summary("classify").
   int classify_timed(const analysis::ScriptAnalysis& analysis,
-                     const std::string& detector,
-                     std::optional<obs::StageDurationsMs>* stages) const;
+                     const std::string& detector) const;
 
   void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,
               std::size_t size, bool verify_checksums);

@@ -13,6 +13,8 @@ namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 std::string labels_to_string(const Labels& labels) {
   std::string out;
   for (const auto& [k, v] : labels) {
@@ -67,11 +69,6 @@ void Summary::observe(double v) noexcept {
   c.count.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(c.sum, v);
   detail::atomic_add(c.sumsq, v * v);
-  if (!c.any.exchange(true, std::memory_order_relaxed)) {
-    c.min.store(v, std::memory_order_relaxed);
-    c.max.store(v, std::memory_order_relaxed);
-    return;
-  }
   double cur = c.min.load(std::memory_order_relaxed);
   while (v < cur &&
          !c.min.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -114,28 +111,21 @@ double Summary::stddev() const noexcept {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
+// Shards still at their sentinel fold away; an empty summary reports 0.
 double Summary::min() const noexcept {
-  double best = 0.0;
-  bool any = false;
+  double best = kInf;
   for (const auto& c : cells_) {
-    if (!c.any.load(std::memory_order_relaxed)) continue;
-    const double v = c.min.load(std::memory_order_relaxed);
-    best = any ? std::min(best, v) : v;
-    any = true;
+    best = std::min(best, c.min.load(std::memory_order_relaxed));
   }
-  return best;
+  return best == kInf ? 0.0 : best;
 }
 
 double Summary::max() const noexcept {
-  double best = 0.0;
-  bool any = false;
+  double best = -kInf;
   for (const auto& c : cells_) {
-    if (!c.any.load(std::memory_order_relaxed)) continue;
-    const double v = c.max.load(std::memory_order_relaxed);
-    best = any ? std::max(best, v) : v;
-    any = true;
+    best = std::max(best, c.max.load(std::memory_order_relaxed));
   }
-  return best;
+  return best == -kInf ? 0.0 : best;
 }
 
 void Summary::reset() noexcept {
@@ -143,9 +133,8 @@ void Summary::reset() noexcept {
     c.count.store(0, std::memory_order_relaxed);
     c.sum.store(0.0, std::memory_order_relaxed);
     c.sumsq.store(0.0, std::memory_order_relaxed);
-    c.min.store(0.0, std::memory_order_relaxed);
-    c.max.store(0.0, std::memory_order_relaxed);
-    c.any.store(false, std::memory_order_relaxed);
+    c.min.store(kInf, std::memory_order_relaxed);
+    c.max.store(-kInf, std::memory_order_relaxed);
   }
 }
 

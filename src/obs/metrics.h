@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,13 +120,15 @@ class Summary {
   void reset() noexcept;
 
  private:
+  // min/max start at +inf/-inf, so every observation takes the same CAS
+  // loops and concurrent observers sharing a shard never overwrite each
+  // other; a shard still at its sentinels has seen nothing.
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0.0};
     std::atomic<double> sumsq{0.0};
-    std::atomic<double> min{0.0};
-    std::atomic<double> max{0.0};
-    std::atomic<bool> any{false};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
   std::array<Cell, detail::kShards> cells_;
 };

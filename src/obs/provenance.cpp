@@ -1,8 +1,13 @@
 #include "obs/provenance.h"
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace jsrev::obs {
+
+Summary* stage_summary(const char* stage) {
+  return metrics().summary("stage_ms", {{"stage", stage}});
+}
 
 std::string VerdictProvenance::to_json() const {
   JsonWriter w;

@@ -17,6 +17,8 @@
 
 namespace jsrev::obs {
 
+class Summary;
+
 /// Per-stage durations of one script's classification (milliseconds).
 struct StageDurationsMs {
   double parse = 0.0;
@@ -26,6 +28,16 @@ struct StageDurationsMs {
   double lint = 0.0;
   double classify = 0.0;        // classifier predict
 };
+
+/// The registry summary `stage_ms{stage=<stage>}` (kMillis): the one
+/// per-stage timing series. Each stage books one sample where its work runs:
+/// `parse` in ScriptAnalysis, `enhanced_ast`, `path_traversal`, `embedding`,
+/// `lint` and `classify` in ModelView's inference body, and the training
+/// stages (`pretraining`, `outlier`, `clustering`, `classifier_train`) in
+/// JsRevealer::train. Table VIII, `jsr_stats --metrics/--prom`, the STATS
+/// frame and `/metrics` all read it. Takes the registry mutex: hot call
+/// sites cache the pointer.
+Summary* stage_summary(const char* stage);
 
 /// Attention mass a script deposited on one surviving cluster feature.
 struct ClusterAttention {

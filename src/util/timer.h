@@ -1,11 +1,8 @@
-// Wall-clock timing helpers used by the per-stage runtime instrumentation
-// (Table VIII reproduction).
+// Wall-clock stopwatch used by the per-stage runtime instrumentation
+// (Table VIII reproduction; the samples land in obs::stage_summary).
 #pragma once
 
 #include <chrono>
-#include <cstddef>
-
-#include "obs/metrics.h"
 
 namespace jsrev {
 
@@ -25,73 +22,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates timing samples and reports mean/stddev, as Table VIII does.
-///
-/// A thin view over the obs metrics primitives: per-item samples (add) and
-/// per-region wall samples (add_wall) land in two obs::Summary accumulators,
-/// which retain count/sum/sum-of-squares instead of the raw samples — mean
-/// and (sample) stddev are exact, memory is O(1). When constructed with a
-/// stage name, every sample is additionally mirrored into the process-wide
-/// registry (`stage_ms{stage=...}` / `stage_wall_ms{stage=...}`), so the
-/// same numbers the local view reports are visible in a metrics export.
-///
-/// Per-item samples (add) measure the work done; wall-clock samples
-/// (add_wall) measure how long the enclosing — possibly parallel — region
-/// took, so sum(samples) / wall is the effective parallel speedup of a stage
-/// at the configured thread count. reset() zeroes the local view (the
-/// registry mirror, being a global cumulative metric, is never reset) — the
-/// batch-inference entry points use it so repeated evaluations report the
-/// most recent batch instead of double-counting wall time across calls.
-class TimingStats {
- public:
-  TimingStats() = default;
-
-  /// Registry-mirrored variant: samples also feed the global summaries
-  /// `stage_ms{stage=<name>}` and `stage_wall_ms{stage=<name>}`.
-  explicit TimingStats(const char* stage)
-      : mirror_(obs::metrics().summary("stage_ms", {{"stage", stage}})),
-        wall_mirror_(
-            obs::metrics().summary("stage_wall_ms", {{"stage", stage}})) {}
-
-  TimingStats(const TimingStats&) = delete;
-  TimingStats& operator=(const TimingStats&) = delete;
-
-  void add(double ms) {
-    samples_.observe(ms);
-    if (mirror_ != nullptr) mirror_->observe(ms);
-  }
-
-  /// Records the wall-clock duration of one parallel region of this stage.
-  void add_wall(double ms) {
-    wall_.observe(ms);
-    if (wall_mirror_ != nullptr) wall_mirror_->observe(ms);
-  }
-
-  /// Zeroes the local per-item and wall accumulation (mirrors untouched).
-  void reset() {
-    samples_.reset();
-    wall_.reset();
-  }
-
-  /// Total wall-clock time of the stage's parallel regions.
-  double wall_ms() const { return wall_.sum(); }
-
-  /// Sum of the per-item samples (CPU-work view of the stage).
-  double total() const { return samples_.sum(); }
-
-  std::size_t count() const { return samples_.count(); }
-
-  double mean() const { return samples_.mean(); }
-
-  double stddev() const { return samples_.stddev(); }
-
- private:
-  obs::Summary samples_;
-  obs::Summary wall_;
-  obs::Summary* mirror_ = nullptr;
-  obs::Summary* wall_mirror_ = nullptr;
 };
 
 }  // namespace jsrev

@@ -3,8 +3,8 @@
 // "one exporter, two consumers" byte-identical), the structured log layer
 // (levels, sink capture, per-site rate limiting), the AdminServer's HTTP
 // containment contract (400/404/405/431 cost one connection, never the
-// server), and the readiness story: /readyz flips to 503 strictly before a
-// QUIT's kBye confirms the drain.
+// server), the Batcher's slow-request record, and the readiness story:
+// /readyz flips to 503 strictly before a QUIT's kBye confirms the drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -716,6 +716,31 @@ TEST_F(AdminServeFixture, BuildAndModelInfoGauges) {
 
   std::string error;
   EXPECT_TRUE(obs::validate_prometheus_text(text, &error)) << error;
+}
+
+TEST_F(AdminServeFixture, SlowRequestDrawsOneCorrelatedLogRecord) {
+  LogCapture cap;
+  serve::ServeOptions opts;
+  opts.slow_ms = 1e-6;  // every request is slow
+  {
+    serve::Batcher batcher(*model_, opts);
+    serve::ServeRequest req;
+    req.id = 4242;
+    req.source = "var x = 1;";
+    batcher.submit(std::move(req), [](serve::ServeResponse) {});
+    batcher.drain();
+  }
+
+  int records = 0;
+  for (const std::string& line : cap.lines()) {
+    const auto doc = obs::json_parse(line);
+    ASSERT_NE(doc, nullptr) << line;
+    if (doc->find("event")->string != "serve.slow_request") continue;
+    ++records;
+    EXPECT_EQ(doc->find("request_id")->number, 4242.0) << line;
+    EXPECT_GT(doc->find("latency_ms")->number, 0.0) << line;
+  }
+  EXPECT_EQ(records, 1);
 }
 
 TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {

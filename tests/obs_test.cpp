@@ -4,13 +4,13 @@
 // subsystem promises —
 //  * deterministic_json() is byte-identical at thread widths 1/2/8 for a
 //    fixed workload, and
-//  * repeated batch inference reports only the most recent batch (the
-//    StageTimings::reset_inference regression: without it, stale wall totals
-//    inflate the apparent per-stage parallel speedup past the thread count).
+//  * each stage books its stage_ms{stage} sample once, where its work runs:
+//    re-classifying a warm corpus books no second parse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,6 +83,58 @@ TEST(Metrics, SummaryMomentsAreExact) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.sum(), 0.0);
+}
+
+// Writers that share one shard race on its min/max cells. Every observation
+// must land in them, including one made while the shard's first observation
+// is still in flight.
+TEST(Metrics, SummaryExactUnderConcurrentWriters) {
+  constexpr int kThreads = 64;  // shards are dealt round-robin: 4 per shard
+  constexpr std::size_t kRounds = 2000;
+  std::vector<obs::Summary> summaries(kRounds);
+  std::atomic<std::size_t> target_shard{0};
+  std::latch dealt(kThreads);
+  std::latch counted(kThreads);
+  std::atomic<int> writers{0};
+  std::atomic<std::size_t> gate{0};
+  std::atomic<std::size_t> observed{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t shard = obs::detail::shard_index();
+      if (t == 0) target_shard.store(shard);
+      dealt.arrive_and_wait();
+      const bool writer = shard == target_shard.load();
+      const int id = writer ? writers.fetch_add(1) : -1;
+      counted.arrive_and_wait();
+      if (!writer) return;
+      const std::size_t n = static_cast<std::size_t>(writers.load());
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        // Spin rather than block, so the round's writers start together;
+        // the last writer of a round opens the next one.
+        for (int spins = 0; gate.load(std::memory_order_acquire) != r;
+             ++spins) {
+          if (spins > 10000) std::this_thread::yield();
+        }
+        summaries[r].observe(static_cast<double>(id + 1));
+        if (observed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            (r + 1) * n) {
+          gate.store(r + 1, std::memory_order_release);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const int n = writers.load();
+  ASSERT_GE(n, 2);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const obs::Summary& s = summaries[r];
+    ASSERT_EQ(s.count(), static_cast<std::uint64_t>(n)) << "round " << r;
+    ASSERT_DOUBLE_EQ(s.sum(), n * (n + 1) / 2.0) << "round " << r;
+    ASSERT_DOUBLE_EQ(s.min(), 1.0) << "round " << r;
+    ASSERT_DOUBLE_EQ(s.max(), static_cast<double>(n)) << "round " << r;
+  }
 }
 
 TEST(Metrics, HistogramBucketsAndOverflow) {
@@ -426,15 +478,12 @@ TEST(Provenance, ParseFailureIsRecorded) {
   EXPECT_EQ(prov.path_count, 0u);
 }
 
-// Satellite regression for the add_wall double-count: a second classify_all
-// over the same detector must report only its own batch — per-item sample
-// counts stay at corpus size (not 2x) and the apparent per-stage parallel
-// speedup (sum of per-item work / batch wall) stays physically plausible,
-// bounded by the configured thread width.
-TEST(ObsTimings, RepeatedClassifyAllReportsOnlyTheLastBatch) {
-  const dataset::Split split = small_split(16, 12, 42);
-  std::vector<std::string> sources;
-  for (const auto& s : split.test.samples) sources.push_back(s.source);
+// Each stage books once, where its work runs: analyze_corpus runs (and
+// books) every parse, so classifying the warm corpus twice adds no parse
+// sample, and one classify sample per parsed script per call.
+TEST(ObsTimings, ClassifyingAWarmCorpusBooksNoSecondParse) {
+  dataset::Split split = small_split(16, 12, 42);
+  split.test.samples.push_back({"function ( {{{", 1, "", ""});
 
   core::Config cfg;
   cfg.seed = 7;
@@ -442,26 +491,19 @@ TEST(ObsTimings, RepeatedClassifyAllReportsOnlyTheLastBatch) {
   core::JsRevealer det(cfg);
   det.train(split.train);
 
-  const std::vector<int> first = det.classify_all(sources);
-  const std::vector<int> second = det.classify_all(sources);
-  EXPECT_EQ(first, second);
+  const analysis::AnalyzedCorpus corpus =
+      detect::analyze_corpus(split.test, cfg.threads);
+  std::uint64_t parsed = 0;
+  for (const auto& a : corpus.scripts) parsed += a->parse_failed() ? 0 : 1;
+  ASSERT_EQ(parsed, corpus.size() - 1);
 
-  const core::StageTimings& t = det.timings();
-  // One per-item sample per script from the LAST batch only; before the
-  // reset_inference fix these counts doubled per call while stale wall
-  // totals kept accumulating alongside.
-  EXPECT_EQ(t.parse.count(), sources.size());
-  EXPECT_EQ(t.embedding.count(), sources.size());
-  EXPECT_EQ(t.classifying.count(), sources.size());
-
-  const double work_ms = t.parse.total() + t.enhanced_ast.total() +
-                         t.path_traversal.total() + t.embedding.total() +
-                         t.classifying.total();
-  const double wall_ms = t.classifying.wall_ms();
-  ASSERT_GT(wall_ms, 0.0);
-  // Sum-of-work over wall cannot exceed the parallel width; allow 50%
-  // headroom for timer granularity on very fast batches.
-  EXPECT_LE(work_ms / wall_ms, 2.0 * 1.5);
+  obs::Summary* parse = obs::stage_summary("parse");
+  obs::Summary* classify = obs::stage_summary("classify");
+  const std::uint64_t parse_before = parse->count();
+  const std::uint64_t classify_before = classify->count();
+  EXPECT_EQ(det.classify_all(corpus), det.classify_all(corpus));
+  EXPECT_EQ(parse->count(), parse_before);
+  EXPECT_EQ(classify->count(), classify_before + 2 * parsed);
 }
 
 }  // namespace

@@ -142,8 +142,6 @@ TEST(ParallelDeterminism, FullPipelineBitIdentical) {
   for (std::size_t i = 0; i < 5 && i < sources.size(); ++i) {
     EXPECT_EQ(serial.featurize(sources[i]), parallel.featurize(sources[i]));
   }
-  EXPECT_EQ(serial.timings().threads, 1u);
-  EXPECT_EQ(parallel.timings().threads, 4u);
 }
 
 TEST(ParallelDeterminism, ClassifyAllMatchesPerItemClassify) {

@@ -1,11 +1,12 @@
 // Protocol- and batching-level tests for the src/serve daemon stack:
 // framing codec edge cases (truncation, oversized lengths, zero-length
 // scripts, garbage), Batcher bit-identity against the library path at
-// several parallel widths, admission control under overload, and the
-// Server's failure-containment and graceful-drain contracts over real
-// sockets (a malformed client loses its connection, never the daemon), plus
-// the per-connection bounds of the listener underneath: thread reaping, the
-// partial-frame and send deadlines, and the connection cap.
+// several parallel widths, per-request stage booking, admission control
+// under overload, and the Server's failure-containment and graceful-drain
+// contracts over real sockets (a malformed client loses its connection,
+// never the daemon), plus the per-connection bounds of the listener
+// underneath: thread reaping, the partial-frame and send deadlines, and the
+// connection cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +28,7 @@
 #include "net/net.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
@@ -250,6 +252,34 @@ TEST_F(ServeFixture, BatcherProvenanceReportsFrontendStageTimes) {
     const obs::JsonValue* ms = stages->find(stage);
     ASSERT_NE(ms, nullptr) << stage;
     EXPECT_GT(ms->number, 0.0) << stage << " in " << json;
+  }
+}
+
+TEST_F(ServeFixture, BatcherBooksEachRequestStageOnce) {
+  // The daemon exports per-request stage time: one parseable request books
+  // one stage_ms sample for each stage it runs (the parse where the batcher
+  // forces it, the rest in the view's inference body).
+  const char* const kStages[] = {"parse", "enhanced_ast", "path_traversal",
+                                 "embedding", "classify"};
+  std::vector<std::uint64_t> before;
+  for (const char* stage : kStages) {
+    before.push_back(obs::stage_summary(stage)->count());
+  }
+
+  serve::Batcher batcher(*model_, {});
+  bool parse_failed = true;
+  serve::ServeRequest req;
+  req.id = 6;
+  req.source = (*scripts_)[0];
+  batcher.submit(std::move(req), [&](serve::ServeResponse resp) {
+    parse_failed = resp.parse_failed;
+  });
+  batcher.drain();
+
+  ASSERT_FALSE(parse_failed);
+  for (std::size_t i = 0; i < std::size(kStages); ++i) {
+    EXPECT_EQ(obs::stage_summary(kStages[i])->count(), before[i] + 1)
+        << kStages[i];
   }
 }
 

@@ -324,55 +324,6 @@ TEST(ResolveThreads, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(resolve_threads(6), 6u);
 }
 
-TEST(TimingStats, MeanAndStddev) {
-  TimingStats s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_NEAR(s.stddev(), 1.4142, 1e-3);
-}
-
-TEST(TimingStats, TotalAndWallAccumulate) {
-  TimingStats s;
-  EXPECT_DOUBLE_EQ(s.total(), 0.0);
-  EXPECT_DOUBLE_EQ(s.wall_ms(), 0.0);
-  s.add(1.5);
-  s.add(2.5);
-  s.add_wall(3.0);
-  s.add_wall(1.0);
-  EXPECT_DOUBLE_EQ(s.total(), 4.0);
-  EXPECT_DOUBLE_EQ(s.wall_ms(), 4.0);
-  EXPECT_EQ(s.count(), 2u);  // wall samples are not per-item samples
-}
-
-TEST(TimingStats, ResetZeroesBothAccumulators) {
-  TimingStats s;
-  s.add(2.0);
-  s.add_wall(5.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.total(), 0.0);
-  EXPECT_DOUBLE_EQ(s.wall_ms(), 0.0);
-  // Still usable after reset, reporting only post-reset samples.
-  s.add(1.0);
-  s.add_wall(1.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.total(), 1.0);
-  EXPECT_DOUBLE_EQ(s.wall_ms(), 1.5);
-}
-
-TEST(TimingStats, RegistryMirrorKeepsCumulativeHistoryAcrossReset) {
-  obs::Summary* mirror =
-      obs::metrics().summary("stage_ms", {{"stage", "util_test_stage"}});
-  const std::uint64_t before = mirror->count();
-  TimingStats s("util_test_stage");
-  s.add(2.0);
-  s.reset();  // local view zeroed; the global mirror is cumulative
-  s.add(3.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(mirror->count(), before + 2);
-}
-
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double x = 0;
