@@ -26,20 +26,20 @@ int main() {
   detector.train(split.train);
 
   core::FamilyClassifier families;
-  const std::size_t used = families.train(detector.view(), split.train);
+  const std::size_t used = families.train(detector, split.train);
   std::printf("FAMILY CLASSIFICATION (future-work extension)\n");
   std::printf("trained on %zu malicious samples across %zu families\n\n",
               used, families.families().size());
 
-  const double train_acc = families.evaluate(detector.view(), split.train);
-  const double test_acc = families.evaluate(detector.view(), split.test);
+  const double train_acc = families.evaluate(detector, split.train);
+  const double test_acc = families.evaluate(detector, split.test);
   std::printf("top-1 family accuracy: train %s%%, held-out %s%% "
               "(chance: %s%%)\n\n",
               fmt(train_acc * 100, 1).c_str(), fmt(test_acc * 100, 1).c_str(),
               fmt(100.0 / static_cast<double>(families.families().size()), 1)
                   .c_str());
 
-  const auto confusion = families.confusion(detector.view(), split.test);
+  const auto confusion = families.confusion(detector, split.test);
   std::vector<std::string> header = {"true \\ predicted"};
   for (const auto& f : families.families()) header.push_back(f);
   Table t(header);

@@ -15,8 +15,8 @@
 //     delay is visible instead of hidden by backpressure), and per-request
 //     client-side latency gives p50/p99.
 //
-// Timing numbers are informational (the container's single CPU makes ratio
-// gates flaky); the bit-identity gate is timing-independent and always
+// Timing numbers are informational (ratio gates are flaky on a small or
+// shared machine); the bit-identity gate is timing-independent and always
 // enforced. Emits BENCH_serve.json through the shared envelope (validated
 // by `jsr_stats --validate`).
 #include <algorithm>

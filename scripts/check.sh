@@ -286,6 +286,17 @@ echo "== bench_deob smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_CORPUS=40 JSREV_BENCH_TRAIN=24 \
     JSREV_BENCH_REPEATS=1 ./bench/bench_deob)
 
+# Repository benchmark self-test: perfbench/run.py builds its own copy of
+# src/ and tools/jsr_serve (RelWithDebInfo, under .bench_build/, not this
+# sanitizer tree) against the JsRevealer/ModelView API, then the selftest
+# runs every workload at tiny size (metric names and units as BENCHMARK.json
+# lists them, daemon verdicts identical to the library's, seeded input
+# digests) and checks that an injected verdict mismatch fails the run.
+if command -v python3 > /dev/null; then
+  echo "== perfbench selftest"
+  python3 perfbench/selftest.py
+fi
+
 echo "== artifact schema validation"
 "${BUILD_DIR}/tools/jsr_stats" \
     --validate "${BUILD_DIR}/stats_metrics.json" \

@@ -1,13 +1,13 @@
-// JSRM v3 artifact writer: serializes a trained JsRevealer into the
-// page-aligned, checksummed section layout of core/model_format.h. train()
-// writes it once and attaches its owned ModelView to the bytes; the save
-// calls hand out those same bytes.
+// JSRM v3 artifact writer: serializes the parameters JsRevealer::train()
+// built into the page-aligned, checksummed section layout of
+// core/model_format.h. train() writes it once and attaches the detector to
+// the bytes; the save calls hand out those same bytes.
 //
 // The writer gathers every parameter block in its flat training-time form
 // (the vocabulary's three buffers verbatim, the attention matrices' backing
-// vectors, the packed benign bitset, the flattened forest) and lays them out
-// back to back on 4 KiB boundaries with zero-filled gaps. Nothing here is
-// sampled, timed, or randomized, so a deterministic model produces
+// vectors, the packed benign bitset, the forest's node pool) and lays them
+// out back to back on 4 KiB boundaries with zero-filled gaps. Nothing here
+// is sampled, timed, or randomized, so a deterministic model produces
 // byte-identical artifacts at any thread width.
 #include <cstring>
 #include <fstream>
@@ -57,21 +57,18 @@ void add_vector_section(std::vector<std::uint8_t>* buf,
 
 }  // namespace
 
-std::vector<std::uint8_t> JsRevealer::write_artifact() const {
-  // Flatten the forest and the interpretability index up front; every other
-  // block already lives in its serialized form. Other classifier kinds get
-  // an empty forest (zero trees, offsets {0}).
-  const auto* forest =
-      dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  std::vector<ml::ForestNodeRec> forest_nodes;
-  std::vector<std::uint32_t> forest_offsets{0};
-  if (forest != nullptr) forest->export_flat(&forest_nodes, &forest_offsets);
+std::vector<std::uint8_t> JsRevealer::write_artifact(const Trained& t) const {
+  // Other classifier kinds get an empty forest (zero trees, offsets {0}):
+  // an unfitted RandomForest.
+  const ml::RandomForest no_forest;
+  const auto* fitted = dynamic_cast<const ml::RandomForest*>(classifier_.get());
+  const ml::RandomForest& forest = fitted != nullptr ? *fitted : no_forest;
 
   std::string central_blob;
   std::vector<std::uint32_t> central_offsets;
-  central_offsets.reserve(central_path_.size() + 1);
+  central_offsets.reserve(t.central_path.size() + 1);
   central_offsets.push_back(0);
-  for (const std::string& p : central_path_) {
+  for (const std::string& p : t.central_path) {
     central_blob += p;
     central_offsets.push_back(static_cast<std::uint32_t>(central_blob.size()));
   }
@@ -85,12 +82,14 @@ std::vector<std::uint8_t> JsRevealer::write_artifact() const {
     hdr.flags |= fmt::kFlagBinaryClusterFeatures;
   }
   hdr.embedding_dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  hdr.feature_dim = static_cast<std::uint32_t>(feature_dim_);
-  hdr.lint_dim = static_cast<std::uint32_t>(lint_dim_);
-  hdr.clusters_removed = static_cast<std::uint32_t>(clusters_removed_);
-  hdr.vocab_size = static_cast<std::uint32_t>(vocab_.size());
-  hdr.vocab_table_size = static_cast<std::uint32_t>(vocab_.table().size());
-  hdr.n_trees = static_cast<std::uint32_t>(forest_offsets.size() - 1);
+  hdr.feature_dim = static_cast<std::uint32_t>(t.centroids.rows());
+  hdr.lint_dim = static_cast<std::uint32_t>(
+      cfg_.lint_features ? lint::kLintFeatureDim : 0);
+  hdr.clusters_removed = static_cast<std::uint32_t>(t.clusters_removed);
+  hdr.vocab_size = static_cast<std::uint32_t>(t.vocab.size());
+  hdr.vocab_table_size =
+      static_cast<std::uint32_t>(t.vocab.table().size());
+  hdr.n_trees = static_cast<std::uint32_t>(forest.offsets().size() - 1);
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
   hdr.max_vocab = cfg_.max_vocab;
@@ -102,37 +101,37 @@ std::vector<std::uint8_t> JsRevealer::write_artifact() const {
   sections.reserve(fmt::kSectionCount);
 
   add_vector_section(&buf, &sections, fmt::SectionId::kVocabEntries,
-                     vocab_.entries());
+                     t.vocab.entries());
   add_vector_section(&buf, &sections, fmt::SectionId::kVocabTable,
-                     vocab_.table());
+                     t.vocab.table());
   add_section(&buf, &sections, fmt::SectionId::kVocabBlob,
-              vocab_.blob().data(), vocab_.blob().size());
+              t.vocab.blob().data(), t.vocab.blob().size());
   add_vector_section(&buf, &sections, fmt::SectionId::kAttentionW,
-                     model_.weight_matrix().data());
+                     t.model.weight_matrix().data());
   add_vector_section(&buf, &sections, fmt::SectionId::kAttentionA,
-                     model_.attention_vector());
+                     t.model.attention_vector());
   add_vector_section(&buf, &sections, fmt::SectionId::kAttentionU,
-                     model_.head_matrix().data());
+                     t.model.head_matrix().data());
   add_vector_section(&buf, &sections, fmt::SectionId::kAttentionBias,
-                     model_.head_bias());
+                     t.model.head_bias());
   add_vector_section(&buf, &sections, fmt::SectionId::kCentroids,
-                     centroids_.data());
+                     t.centroids.data());
   add_vector_section(&buf, &sections, fmt::SectionId::kCentroidRadius,
-                     centroid_radius_);
+                     t.radius);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentroidBenign,
-                     centroid_benign_);
+                     t.benign);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentralPathOffsets,
                      central_offsets);
   add_section(&buf, &sections, fmt::SectionId::kCentralPathBlob,
               central_blob.data(), central_blob.size());
   add_vector_section(&buf, &sections, fmt::SectionId::kScalerMin,
-                     scaler_.fitted_min());
+                     t.scaler.fitted_min());
   add_vector_section(&buf, &sections, fmt::SectionId::kScalerMax,
-                     scaler_.fitted_max());
+                     t.scaler.fitted_max());
   add_vector_section(&buf, &sections, fmt::SectionId::kForestOffsets,
-                     forest_offsets);
+                     forest.offsets());
   add_vector_section(&buf, &sections, fmt::SectionId::kForestNodes,
-                     forest_nodes);
+                     forest.nodes());
 
   hdr.file_size = buf.size();
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
@@ -142,7 +141,7 @@ std::vector<std::uint8_t> JsRevealer::write_artifact() const {
 }
 
 std::span<const std::uint8_t> JsRevealer::artifact_bytes() const {
-  if (!trained_) {
+  if (!loaded()) {
     throw std::logic_error("JsRevealer::save_artifact: detector is not trained");
   }
   if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
@@ -150,7 +149,7 @@ std::span<const std::uint8_t> JsRevealer::artifact_bytes() const {
         "JsRevealer::save_artifact: persistence supports the random-forest "
         "classifier only");
   }
-  return {view_.data_, view_.size_};
+  return {data_, size_};
 }
 
 std::vector<std::uint8_t> JsRevealer::save_artifact() const {

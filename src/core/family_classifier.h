@@ -1,11 +1,11 @@
 // Malware family classification — the paper's stated future-work extension
 // ("our future work will add a JavaScript malware family component").
 //
-// Reuses a trained model's cluster-feature space (a JsRevealer's view(), or
-// a mapped artifact): a multiclass random forest is trained over the feature
-// vectors of the MALICIOUS training samples with their family labels. At
-// inference the binary detector decides malicious/benign; this component
-// names the family.
+// Reuses a trained model's cluster-feature space (a trained JsRevealer or a
+// mapped artifact, both ModelViews): a multiclass random forest is trained
+// over the feature vectors of the MALICIOUS training samples with their
+// family labels. At inference the binary detector decides malicious/benign;
+// this component names the family.
 #pragma once
 
 #include <map>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,46 +15,25 @@
 
 namespace jsrev::core {
 
-JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
-  if (cfg_.trace) obs::Tracer::global().set_enabled(true);
-  lint_dim_ = cfg_.lint_features ? lint::kLintFeatureDim : 0;
-  ml::AttentionModelConfig mc;
-  mc.embedding_dim = cfg_.embedding_dim;
-  mc.epochs = cfg_.embed_epochs;
-  mc.learning_rate = cfg_.learning_rate;
-  mc.seed = cfg_.seed;
-  model_ = ml::AttentionModel(mc);
-  classifier_ = ml::make_classifier(cfg_.classifier, cfg_.seed, cfg_.threads);
-}
-
-std::vector<paths::PathContext> JsRevealer::extract(
-    const analysis::ScriptAnalysis& analysis) const {
-  static obs::Summary* const enhanced_ast_stage =
-      obs::stage_summary("enhanced_ast");
-  static obs::Summary* const path_traversal_stage =
-      obs::stage_summary("path_traversal");
-  if (analysis.parse_failed()) {
-    throw std::runtime_error(analysis.parse_error());
+JsRevealer::JsRevealer(Config cfg)
+    : cfg_(cfg),
+      classifier_(ml::make_classifier(cfg_.classifier, cfg_.seed,
+                                      cfg_.threads)) {
+  if (cfg_.path.max_paths != paths::PathConfig{}.max_paths) {
+    throw std::invalid_argument(
+        "JsRevealer: Config::path.max_paths must be the default " +
+        std::to_string(paths::PathConfig{}.max_paths) +
+        " (the artifact does not record it)");
   }
-
-  // Forcing dataflow() here is free when another consumer (lint, a second
-  // detector) already materialized it on the shared artifact; the sampled
-  // cost is then near zero, and the true cost was sampled by whoever forced
-  // it first.
-  Timer t1;
-  const analysis::DataFlowInfo* flow =
-      cfg_.path.use_dataflow ? &analysis.dataflow() : nullptr;
-  enhanced_ast_stage->observe(t1.elapsed_ms());
-
-  Timer t2;
-  auto pcs = paths::extract_paths(analysis.root(), flow, cfg_.path);
-  path_traversal_stage->observe(t2.elapsed_ms());
-  return pcs;
+  if (cfg_.trace) obs::Tracer::global().set_enabled(true);
+  set_threads(cfg_.threads);
 }
 
 void JsRevealer::train(const dataset::Corpus& corpus) {
   obs::Span train_span("core.train", "core");
   Rng rng(cfg_.seed);
+  const std::size_t lint_dim = cfg_.lint_features ? lint::kLintFeatureDim : 0;
+  Trained trained;
 
   // ---- Stage 1: path extraction over the training corpus (grows vocab) ---
   // Parse + enhanced-AST analysis + path enumeration fan out per file (the
@@ -73,11 +53,12 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       const analysis::ScriptAnalysis a(corpus.samples[i].source, {},
                                        cfg_.deobfuscate);
       try {
-        extracted[i] = extract(a);
+        obs::StageDurationsMs ms;
+        extracted[i] = extract(a, cfg_.path, &ms);
       } catch (const std::exception&) {
         // unparseable training sample contributes nothing
       }
-      if (lint_dim_ != 0) {
+      if (lint_dim != 0) {
         lint_vecs[i] = lint::lint_feature_vector(linter_.lint(a));
       }
     });
@@ -90,10 +71,10 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     auto& ids = script_ids[i];
     ids.reserve(extracted[i].size());
     for (const auto& pc : extracted[i]) {
-      if (vocab_.size() < cfg_.max_vocab) {
-        ids.push_back(vocab_.add(pc));
+      if (trained.vocab.size() < cfg_.max_vocab) {
+        ids.push_back(trained.vocab.add(pc));
       } else {
-        ids.push_back(vocab_.lookup(pc));
+        ids.push_back(trained.vocab.lookup(pc));
       }
     }
   }
@@ -106,7 +87,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // per script for tractable epochs.
   {
     obs::Span span("core.train.pretrain", "core");
-    Timer t;
+    Timer timer;
     std::vector<ml::ScriptPaths> train_scripts;
     std::size_t budget = cfg_.pretrain_scripts == 0
                              ? corpus.samples.size()
@@ -123,8 +104,14 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       }
       train_scripts.push_back(std::move(sp));
     }
-    model_.train(train_scripts, vocab_.size());
-    const double total = t.elapsed_ms();
+    ml::AttentionModelConfig mc;
+    mc.embedding_dim = cfg_.embedding_dim;
+    mc.epochs = cfg_.embed_epochs;
+    mc.learning_rate = cfg_.learning_rate;
+    mc.seed = cfg_.seed;
+    trained.model = ml::AttentionModel(mc);
+    trained.model.train(train_scripts, trained.vocab.size());
+    const double total = timer.elapsed_ms();
     if (!train_scripts.empty()) {
       // Table VIII reports pre-training time per file.
       obs::stage_summary("pretraining")
@@ -151,7 +138,8 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
     ml::Matrix vecs(sampled_ids.size(), d);
     parallel_for_threads(cfg_.threads, sampled_ids.size(), [&](std::size_t r) {
-      const std::vector<double> e = model_.path_embedding(sampled_ids[r]);
+      const std::vector<double> e =
+          trained.model.path_embedding(sampled_ids[r]);
       std::copy(e.begin(), e.end(), vecs.row(r));
     });
 
@@ -241,77 +229,85 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       }
     }
   }
-  clusters_removed_ = 0;
-  for (const bool b : drop_b) clusters_removed_ += b;
-  for (const bool m : drop_m) clusters_removed_ += m;
+  for (const bool b : drop_b) trained.clusters_removed += b;
+  for (const bool m : drop_m) trained.clusters_removed += m;
 
-  feature_dim_ = cb.centroids.rows() + cm.centroids.rows() -
-                 clusters_removed_;
-  centroids_ = ml::Matrix(feature_dim_, d);
-  centroid_benign_.assign(benign_word_count(feature_dim_), 0);
-  centroid_radius_.assign(feature_dim_, 0.0);
+  const std::size_t feature_dim =
+      cb.centroids.rows() + cm.centroids.rows() - trained.clusters_removed;
+  trained.centroids = ml::Matrix(feature_dim, d);
+  trained.benign.assign(benign_word_count(feature_dim), 0);
+  trained.radius.assign(feature_dim, 0.0);
   std::size_t row = 0;
   for (std::size_t i = 0; i < cb.centroids.rows(); ++i) {
     if (drop_b[i]) continue;
     std::copy(cb.centroids.row(i), cb.centroids.row(i) + d,
-              centroids_.row(row));
-    set_benign_bit(centroid_benign_.data(), row, true);
-    centroid_radius_[row] = rms_radius(cb, i);
+              trained.centroids.row(row));
+    set_benign_bit(trained.benign.data(), row, true);
+    trained.radius[row] = rms_radius(cb, i);
     ++row;
   }
   for (std::size_t j = 0; j < cm.centroids.rows(); ++j) {
     if (drop_m[j]) continue;
     std::copy(cm.centroids.row(j), cm.centroids.row(j) + d,
-              centroids_.row(row));
-    centroid_radius_[row] = rms_radius(cm, j);
+              trained.centroids.row(row));
+    trained.radius[row] = rms_radius(cm, j);
     ++row;
   }
 
   // Interpretability inverse index: nearest inlier vector (with its vocab
   // id) to each surviving centroid.
-  central_path_.assign(feature_dim_, std::string());
+  trained.central_path.assign(feature_dim, std::string());
+  std::vector<double> nearest_d(feature_dim,
+                                std::numeric_limits<double>::max());
   auto assign_central = [&](const ml::Matrix& vecs,
                             const std::vector<std::int32_t>& ids) {
     // O(feature_dim * n * d) scan; each feature owns its slots.
-    parallel_for_threads(cfg_.threads, feature_dim_, [&](std::size_t f) {
-      double best = centroid_nearest_d_[f];
+    parallel_for_threads(cfg_.threads, feature_dim, [&](std::size_t f) {
+      double best = nearest_d[f];
       for (std::size_t r = 0; r < vecs.rows(); ++r) {
-        const double dist = ml::squared_distance(centroids_.row(f),
+        const double dist = ml::squared_distance(trained.centroids.row(f),
                                                  vecs.row(r), d);
         if (dist < best) {
           best = dist;
-          central_path_[f] = std::string(vocab_.key(ids[r]));
+          trained.central_path[f] = std::string(trained.vocab.key(ids[r]));
         }
       }
-      centroid_nearest_d_[f] = best;
+      nearest_d[f] = best;
     });
   };
-  centroid_nearest_d_.assign(feature_dim_,
-                             std::numeric_limits<double>::max());
   assign_central(benign_vecs, benign_ids);
   assign_central(malicious_vecs, malicious_ids);
 
   // ---- Stage 5: featurize the training corpus and fit the classifier ------
   // Cluster-membership features, then (when enabled) the per-script lint
   // summary tail. Both land in disjoint row slots, so the fan-out keeps the
-  // bit-identical-at-any-width guarantee.
-  ml::Matrix x(n_samples, feature_dim_ + lint_dim_);
+  // bit-identical-at-any-width guarantee. The cluster features run the
+  // kernel ModelView::featurize runs, over the local parameters, so training
+  // rows and inference rows are computed identically.
+  ClusterParams cp;
+  cp.centroids = trained.centroids.data().data();
+  cp.radius = trained.radius.data();
+  cp.benign = trained.benign.data();
+  cp.feature_dim = static_cast<std::uint32_t>(feature_dim);
+  cp.dim = static_cast<std::uint32_t>(d);
+  cp.binary_features = cfg_.binary_cluster_features;
+  ml::Matrix x(n_samples, feature_dim + lint_dim);
   std::vector<int> y(n_samples);
   {
     obs::Span span("core.train.featurize", "core");
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
-      ml::EmbeddedScript emb = model_.embed(script_ids[i]);
-      const std::vector<double> f = features_from_embedding(emb);
+      const std::vector<double> f =
+          cluster_features(cp, trained.model.embed(script_ids[i]));
       std::copy(f.begin(), f.end(), x.row(i));
-      if (lint_dim_ != 0) {
+      if (lint_dim != 0) {
         std::copy(lint_vecs[i].begin(), lint_vecs[i].end(),
-                  x.row(i) + feature_dim_);
+                  x.row(i) + feature_dim);
       }
       y[i] = labels[i];
     });
   }
-  scaler_.fit(x);
-  scaler_.transform(x);
+  trained.scaler.fit(x);
+  trained.scaler.transform(x);
 
   Timer t_fit;
   classifier_->fit(x, y);
@@ -319,98 +315,19 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       ->observe(t_fit.elapsed_ms() /
                 static_cast<double>(std::max<std::size_t>(1, x.rows())));
 
-  // ---- Stage 6: attach the owned view every inference call runs through --
+  // ---- Stage 6: attach to the artifact every inference call runs on -----
   // The bytes were checksummed as they were written, so the attach skips
-  // the verification pass.
-  view_.from_buffer(write_artifact(), /*verify_checksums=*/false);
-  view_.classifier_ = classifier_.get();
-  view_.set_threads(cfg_.threads);
-  trained_ = true;
-}
-
-std::vector<double> JsRevealer::features_from_embedding(
-    const ml::EmbeddedScript& emb) const {
-  // The kernel a ModelView runs at inference, over this detector's own
-  // storage: training rows and inference rows are computed identically.
-  ClusterParams p;
-  p.centroids = centroids_.data().data();
-  p.radius = centroid_radius_.data();
-  p.benign = centroid_benign_.data();
-  p.feature_dim = static_cast<std::uint32_t>(feature_dim_);
-  p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  p.binary_features = cfg_.binary_cluster_features;
-  return cluster_features(p, emb);
-}
-
-std::vector<double> JsRevealer::featurize(const std::string& source) const {
-  return featurize(analysis::ScriptAnalysis(source, {}, cfg_.deobfuscate));
-}
-
-std::vector<double> JsRevealer::featurize(
-    const analysis::ScriptAnalysis& analysis) const {
-  return view_.featurize(analysis);
-}
-
-int JsRevealer::classify(const std::string& source) const {
-  return classify(analysis::ScriptAnalysis(source, {}, cfg_.deobfuscate));
-}
-
-int JsRevealer::classify(const analysis::ScriptAnalysis& analysis) const {
-  obs::Span span("core.classify", "core");
-  return record_verdict(view_.classify_timed(analysis, name()));
-}
-
-obs::VerdictProvenance JsRevealer::explain(const std::string& source) const {
-  analysis::ScriptAnalysis analysis(source, {}, cfg_.deobfuscate);
-  analysis.enable_provenance();
-  classify(analysis);
-  return *analysis.provenance();
-}
-
-template <typename Item>
-std::vector<int> JsRevealer::classify_batch(std::size_t n, Item item) const {
-  std::vector<int> verdicts(n, 1);
-  obs::Span span("core.classify_all", "core");
-  parallel_for_threads(cfg_.threads, n, [&](std::size_t i) {
-    verdicts[i] = classify(item(i));
-  });
-  return verdicts;
-}
-
-std::vector<int> JsRevealer::classify_all(
-    const std::vector<std::string>& sources) const {
-  return classify_batch(sources.size(), [&](std::size_t i) -> const auto& {
-    return sources[i];
-  });
-}
-
-std::vector<int> JsRevealer::classify_all(
-    const analysis::AnalyzedCorpus& corpus) const {
-  return classify_batch(corpus.size(), [&](std::size_t i) -> const auto& {
-    return *corpus.scripts[i];
-  });
-}
-
-ml::Metrics JsRevealer::evaluate(const dataset::Corpus& corpus) const {
-  std::vector<std::string> sources;
-  std::vector<int> truth;
-  sources.reserve(corpus.samples.size());
-  truth.reserve(corpus.samples.size());
-  for (const auto& s : corpus.samples) {
-    sources.push_back(s.source);
-    truth.push_back(s.label);
+  // the verification pass. The locals in `trained` die with this frame.
+  from_buffer(write_artifact(trained), /*verify_checksums=*/false);
+  if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
+    predict_hook_ = classifier_.get();  // Table II's non-forest kinds
   }
-  return ml::compute_metrics(truth, classify_all(sources));
-}
-
-ml::Metrics JsRevealer::evaluate(const analysis::AnalyzedCorpus& corpus) const {
-  return ml::compute_metrics(corpus.labels, classify_all(corpus));
 }
 
 std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
   std::vector<FeatureReportEntry> out;
   const auto* forest = dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  if (forest == nullptr || !trained_) return out;
+  if (forest == nullptr || !loaded()) return out;
 
   const std::vector<double> imp = forest->feature_importances();
   std::vector<std::size_t> order(imp.size());
@@ -423,14 +340,14 @@ std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
     FeatureReportEntry e;
     e.feature_index = static_cast<int>(order[i]);
     e.importance = imp[order[i]];
-    if (order[i] < feature_dim_) {
-      e.from_benign = benign_bit(centroid_benign_.data(), order[i]);
-      e.central_path = central_path_[order[i]];
+    if (order[i] < header_.feature_dim) {
+      e.from_benign = benign_bit(cluster_.benign, order[i]);
+      e.central_path = std::string(central_path(order[i]));
     } else {
       // Lint-tail feature: no centroid behind it, label it by name.
       e.from_benign = false;
       e.central_path =
-          "lint:" + lint::lint_feature_names()[order[i] - feature_dim_];
+          "lint:" + lint::lint_feature_names()[order[i] - header_.feature_dim];
     }
     out.push_back(std::move(e));
   }
@@ -439,9 +356,10 @@ std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
 
 std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
                                           int label, int k_lo, int k_hi) {
-  // Requires a trained embedding model + vocab (call train() first, or this
-  // trains on the given corpus implicitly).
-  if (!model_.trained()) train(corpus);
+  // Requires a trained model (call train() first, or this trains on the
+  // given corpus implicitly); path vectors are tanh(W[id]) read from the
+  // artifact.
+  if (!loaded()) train(corpus);
 
   Rng rng(cfg_.seed + 7);
   // Extraction fans out per script; id collection stays serial in sample
@@ -454,7 +372,8 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
         std::vector<paths::PathContext> pcs;
         try {
           const analysis::ScriptAnalysis a(s.source, {}, cfg_.deobfuscate);
-          pcs = extract(a);
+          obs::StageDurationsMs ms;
+          pcs = extract(a, cfg_.path, &ms);
         } catch (const std::exception&) {
           return;
         }
@@ -474,8 +393,9 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
   const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
   ml::Matrix vecs(sampled_ids.size(), d);
   parallel_for_threads(cfg_.threads, sampled_ids.size(), [&](std::size_t r) {
-    const std::vector<double> e = model_.path_embedding(sampled_ids[r]);
-    std::copy(e.begin(), e.end(), vecs.row(r));
+    const double* w = attn_.w + static_cast<std::size_t>(sampled_ids[r]) * d;
+    double* v = vecs.row(r);
+    for (std::size_t k = 0; k < d; ++k) v[k] = std::tanh(w[k]);
   });
 
   std::vector<double> sse;

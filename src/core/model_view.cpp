@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -172,7 +173,8 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   size_ = size;
   header_ = hdr;
   sections_ = std::move(sections);
-  classifier_ = nullptr;  // a newly attached artifact predicts with its forest
+  // A newly attached artifact predicts with its own forest.
+  predict_hook_ = nullptr;
   struct Rollback {
     ModelView* v;
     bool armed = true;
@@ -312,6 +314,15 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   rollback.armed = false;
 }
 
+std::string_view ModelView::central_path(std::size_t f) const {
+  if (f >= header_.feature_dim) {
+    throw std::out_of_range("ModelView::central_path: feature " +
+                            std::to_string(f) + " is not a cluster feature");
+  }
+  return {central_blob_ + central_offsets_[f],
+          central_offsets_[f + 1] - central_offsets_[f]};
+}
+
 ArtifactInfo ModelView::info() const {
   ArtifactInfo out;
   out.header = header_;
@@ -338,37 +349,43 @@ std::vector<double> ModelView::featurize(const std::string& source) const {
       analysis::ScriptAnalysis(source, parse_limits_, deobfuscate_));
 }
 
-std::vector<double> ModelView::featurize(
-    const analysis::ScriptAnalysis& analysis) const {
+std::vector<paths::PathContext> ModelView::extract(
+    const analysis::ScriptAnalysis& analysis, const paths::PathConfig& cfg,
+    obs::StageDurationsMs* ms) {
   static obs::Summary* const enhanced_ast_stage =
       obs::stage_summary("enhanced_ast");
   static obs::Summary* const path_traversal_stage =
       obs::stage_summary("path_traversal");
-  static obs::Summary* const embedding_stage = obs::stage_summary("embedding");
-  if (!loaded()) {
-    throw std::logic_error("ModelView: no artifact attached");
-  }
   if (analysis.parse_failed()) {
     throw std::runtime_error(analysis.parse_error());
   }
-  // The parse was booked when it ran (ScriptAnalysis); provenance still
-  // reports its cost.
-  obs::StageDurationsMs ms;
-  ms.parse = analysis.parse_ms();
-
   // Forcing dataflow() is free when another consumer (lint, a second
   // detector) already materialized it on the shared analysis; the sampled
   // cost is then near zero.
   Timer t_ast;
   const analysis::DataFlowInfo* flow =
-      path_cfg_.use_dataflow ? &analysis.dataflow() : nullptr;
-  ms.enhanced_ast = t_ast.elapsed_ms();
-  enhanced_ast_stage->observe(ms.enhanced_ast);
+      cfg.use_dataflow ? &analysis.dataflow() : nullptr;
+  ms->enhanced_ast = t_ast.elapsed_ms();
+  enhanced_ast_stage->observe(ms->enhanced_ast);
 
   Timer t_paths;
-  const auto pcs = paths::extract_paths(analysis.root(), flow, path_cfg_);
-  ms.path_traversal = t_paths.elapsed_ms();
-  path_traversal_stage->observe(ms.path_traversal);
+  auto pcs = paths::extract_paths(analysis.root(), flow, cfg);
+  ms->path_traversal = t_paths.elapsed_ms();
+  path_traversal_stage->observe(ms->path_traversal);
+  return pcs;
+}
+
+std::vector<double> ModelView::featurize(
+    const analysis::ScriptAnalysis& analysis) const {
+  static obs::Summary* const embedding_stage = obs::stage_summary("embedding");
+  if (!loaded()) {
+    throw std::logic_error("ModelView: no artifact attached");
+  }
+  obs::StageDurationsMs ms;
+  const auto pcs = extract(analysis, path_cfg_, &ms);
+  // The parse was booked when it ran (ScriptAnalysis); provenance still
+  // reports its cost.
+  ms.parse = analysis.parse_ms();
 
   Timer t_embed;
   std::vector<std::int32_t> ids;
@@ -428,28 +445,24 @@ int ModelView::classify(const std::string& source) const {
 }
 
 int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
-  return record_verdict(classify_timed(analysis, name()));
-}
-
-int ModelView::classify_timed(const analysis::ScriptAnalysis& analysis,
-                              const std::string& detector) const {
   static obs::Summary* const classify_stage = obs::stage_summary("classify");
+  obs::Span span("core.classify", "core");
   obs::VerdictProvenance* prov = analysis.provenance();
   if (prov != nullptr) {
-    prov->detector = detector;
+    prov->detector = name();
     prov->source_bytes = analysis.source().size();
     prov->train_clusters_removed = header_.clusters_removed;
   }
   if (!loaded()) {
     if (prov != nullptr) prov->verdict = 1;
-    return 1;  // fail closed: no model, no benign verdicts
+    return record_verdict(1);  // fail closed: no model, no benign verdicts
   }
   const int verdict = analysis.classify_or_malicious([&]() -> int {
     try {
       const std::vector<double> f = featurize(analysis);
       Timer t;
-      const int v = classifier_ != nullptr ? classifier_->predict(f.data())
-                                           : forest_.predict(f.data());
+      const int v = predict_hook_ != nullptr ? predict_hook_->predict(f.data())
+                                             : forest_.predict(f.data());
       const double classify_ms = t.elapsed_ms();
       classify_stage->observe(classify_ms);
       if (prov != nullptr) prov->stage_ms.classify = classify_ms;
@@ -466,13 +479,14 @@ int ModelView::classify_timed(const analysis::ScriptAnalysis& analysis,
       prov->parse_limit_trip = analysis.parse_limit_trip();
     }
   }
-  return verdict;
+  return record_verdict(verdict);
 }
 
 std::vector<int> ModelView::classify_all(
     const std::vector<std::string>& sources) const {
   // Inference is read-only over the mapping, so scripts fan out
   // independently with verdicts written to disjoint slots.
+  obs::Span span("core.classify_all", "core");
   std::vector<int> verdicts(sources.size(), 1);
   parallel_for_threads(threads_, sources.size(), [&](std::size_t i) {
     verdicts[i] = classify(sources[i]);
@@ -482,11 +496,28 @@ std::vector<int> ModelView::classify_all(
 
 std::vector<int> ModelView::classify_all(
     const analysis::AnalyzedCorpus& corpus) const {
+  obs::Span span("core.classify_all", "core");
   std::vector<int> verdicts(corpus.size(), 1);
   parallel_for_threads(threads_, corpus.size(), [&](std::size_t i) {
     verdicts[i] = classify(*corpus.scripts[i]);
   });
   return verdicts;
+}
+
+ml::Metrics ModelView::evaluate(const dataset::Corpus& corpus) const {
+  std::vector<std::string> sources;
+  std::vector<int> truth;
+  sources.reserve(corpus.samples.size());
+  truth.reserve(corpus.samples.size());
+  for (const auto& s : corpus.samples) {
+    sources.push_back(s.source);
+    truth.push_back(s.label);
+  }
+  return ml::compute_metrics(truth, classify_all(sources));
+}
+
+ml::Metrics ModelView::evaluate(const analysis::AnalyzedCorpus& corpus) const {
+  return ml::compute_metrics(corpus.labels, classify_all(corpus));
 }
 
 obs::VerdictProvenance ModelView::explain(const std::string& source) const {

@@ -1,9 +1,10 @@
 // Immutable, zero-copy inference over a JSRM model artifact — the only
 // inference code in the repository.
 //
-// JsRevealer trains, writes the artifact (core/artifact_io.cpp), and
-// attaches an owned ModelView over those bytes; its featurize, classify and
-// explain forward here. A serving process maps the same artifact from disk.
+// core::JsRevealer is a ModelView that can train: train() writes the
+// artifact (core/artifact_io.cpp) and attaches the detector itself to those
+// bytes, so its featurize, classify, explain and classify_all are the code
+// below. A serving process maps the same artifact from disk.
 // No parameter is parsed into owned storage — the vocabulary probe table,
 // attention matrices, cluster geometry, scaler bounds, and forest node pool
 // are all borrowed pointers into the mapping, so N detector processes
@@ -11,15 +12,16 @@
 // validation (header, section table, checksums, index bounds) instead of
 // deserialization.
 //
-// The last step of classify is the predict call: the artifact's forest for a
-// mapped model, the trainer's own classifier for JsRevealer's view (so Table
-// II's non-forest classifiers run on the same feature vector). A mapped view
-// therefore classifies bit-identically to the JsRevealer that wrote it.
+// The last step of classify is the predict call: the artifact's forest,
+// except for a JsRevealer trained with one of Table II's non-forest
+// classifiers, which sets the predict hook to that classifier (so they run
+// on the same feature vector). A mapped view therefore classifies
+// bit-identically to the JsRevealer that wrote it.
 //
 // Aliasing contract: a ModelView keeps its backing storage (the mapped file
-// or the from_buffer copy) alive through a shared_ptr, so copies of the view
-// may outlive the object they were copied from; the artifact bytes must not
-// be mutated externally while any view is live (the file is mapped
+// or the from_buffer copy) alive through a shared_ptr owner. A ModelView is
+// not copyable (Detector holds atomics). The artifact bytes must not be
+// mutated externally while any view is live (the file is mapped
 // MAP_SHARED — treat a published artifact as immutable, write a new file
 // and swap paths to update).
 //
@@ -41,6 +43,7 @@
 #include "lint/linter.h"
 #include "ml/classifier.h"
 #include "ml/model_view_ops.h"
+#include "obs/provenance.h"
 #include "paths/path_extraction.h"
 #include "paths/vocab.h"
 
@@ -77,7 +80,7 @@ struct ArtifactInfo {
   std::vector<ArtifactSectionInfo> sections;
 };
 
-class ModelView final : public detect::Detector {
+class ModelView : public detect::Detector {
  public:
   ModelView() = default;
 
@@ -98,6 +101,9 @@ class ModelView final : public detect::Detector {
   void train(const dataset::Corpus& corpus) override;
 
   int classify(const std::string& source) const override;
+  /// The one classify body. Records provenance and the detector.verdicts
+  /// counter under name(); a script that was featurized and predicted books
+  /// its predict time into obs::stage_summary("classify").
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JSRevealer[mapped]"; }
 
@@ -105,6 +111,12 @@ class ModelView final : public detect::Detector {
   /// to per-source classify() at any width.
   std::vector<int> classify_all(const std::vector<std::string>& sources) const;
   std::vector<int> classify_all(const analysis::AnalyzedCorpus& corpus) const;
+
+  /// Batched evaluate (same metrics as the base implementation).
+  ml::Metrics evaluate(const dataset::Corpus& corpus) const override;
+  /// Batched evaluate over a shared AnalyzedCorpus: no parse of its own for
+  /// scripts whose analysis is already warm.
+  ml::Metrics evaluate(const analysis::AnalyzedCorpus& corpus) const override;
 
   /// Classifies `source` with provenance capture on and returns the filled
   /// record: verdict, frontend outcome, path/vocabulary counts, per-cluster
@@ -142,33 +154,25 @@ class ModelView final : public detect::Detector {
   /// Header and section table of the attached artifact (jsr_model inspect).
   ArtifactInfo info() const;
 
-  /// Borrowed vocabulary view (tests compare it against the trainer's).
+  /// Borrowed vocabulary view.
   const paths::PathVocabView& vocab() const { return vocab_; }
 
   /// Central path of surviving cluster `f` (the Table VII inverse index),
-  /// as a view into the mapping.
-  std::string_view central_path(std::size_t f) const {
-    return {central_blob_ + central_offsets_[f],
-            central_offsets_[f + 1] - central_offsets_[f]};
-  }
+  /// as a view into the mapping. Throws std::out_of_range unless
+  /// f < header feature_dim: lint-tail features have no central path.
+  std::string_view central_path(std::size_t f) const;
 
- private:
-  friend class JsRevealer;  // trains into an owned view (see classifier_)
+ protected:
+  /// Forces the enhanced AST (data flow, with cfg.use_dataflow) and
+  /// extracts the path contexts under `cfg`, booking and recording both
+  /// stage durations in `ms`; throws std::runtime_error when the script
+  /// does not parse. featurize() and JsRevealer's training both run it.
+  static std::vector<paths::PathContext> extract(
+      const analysis::ScriptAnalysis& analysis, const paths::PathConfig& cfg,
+      obs::StageDurationsMs* ms);
 
-  /// The one classify body, without booking the verdict (callers book it
-  /// under their own name()). `detector` is the name provenance records.
-  /// A script that was featurized and predicted books its predict time into
-  /// obs::stage_summary("classify").
-  int classify_timed(const analysis::ScriptAnalysis& analysis,
-                     const std::string& detector) const;
-
-  void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,
-              std::size_t size, bool verify_checksums);
-  const std::uint8_t* section_payload(fmt::SectionId id,
-                                      std::size_t* size_out) const;
-
-  // Backing storage: the mapped file or the from_buffer copy. shared_ptr so
-  // view copies keep the bytes alive (aliasing contract above).
+  // Backing storage: the mapped file or the from_buffer copy (aliasing
+  // contract above).
   std::shared_ptr<const void> owner_;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
@@ -193,12 +197,18 @@ class ModelView final : public detect::Detector {
   bool deobfuscate_ = false;
   std::size_t threads_ = 0;
 
-  // The predict step of JsRevealer's own view: the owning trainer's
-  // classifier. Null for a mapped model, which predicts with the artifact's
-  // forest.
-  const ml::Classifier* classifier_ = nullptr;
+  // The predict step when it is not the artifact's forest: a JsRevealer
+  // trained with a non-forest classifier points it at that classifier.
+  // attach() clears it.
+  const ml::Classifier* predict_hook_ = nullptr;
 
   lint::Linter linter_;
+
+ private:
+  void attach(std::shared_ptr<const void> owner, const std::uint8_t* data,
+              std::size_t size, bool verify_checksums);
+  const std::uint8_t* section_payload(fmt::SectionId id,
+                                      std::size_t* size_out) const;
 };
 
 }  // namespace jsrev::core

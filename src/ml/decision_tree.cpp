@@ -34,7 +34,7 @@ void DecisionTree::fit_subset(const Matrix& x, const std::vector<int>& y,
   Rng rng(cfg_.seed);
   std::vector<std::size_t> work = rows;
   if (work.empty()) {
-    nodes_.push_back({-1, 0.0, -1, -1, 0.0});
+    nodes_.push_back({});  // a single leaf with p_malicious 0
     return;
   }
   build(x, y, work, 0, work.size(), 0, rng);
@@ -138,31 +138,15 @@ int DecisionTree::build(const Matrix& x, const std::vector<int>& y,
 }
 
 double DecisionTree::predict_proba(const double* row) const {
-  if (nodes_.empty()) return 0.0;
-  std::size_t cur = 0;
-  while (nodes_[cur].feature >= 0) {
-    const auto& n = nodes_[cur];
-    cur = static_cast<std::size_t>(
-        row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                : n.right);
-  }
-  return nodes_[cur].p_malicious;
+  const std::uint32_t offsets[2] = {0,
+                                    static_cast<std::uint32_t>(nodes_.size())};
+  return ForestView{nodes_.data(), offsets, 1,
+                    static_cast<std::uint32_t>(n_features_)}
+      .predict_proba(row);
 }
 
 int DecisionTree::predict(const double* row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
-}
-
-void DecisionTree::append_flat(std::vector<ForestNodeRec>* pool) const {
-  for (const TreeNode& n : nodes_) {
-    ForestNodeRec rec;
-    rec.feature = n.feature;
-    rec.left = n.left;
-    rec.right = n.right;
-    rec.threshold = n.threshold;
-    rec.p_malicious = n.p_malicious;
-    pool->push_back(rec);
-  }
 }
 
 RandomForest::RandomForest(ForestConfig cfg) : cfg_(cfg) {}
@@ -176,7 +160,7 @@ void RandomForest::fit(const Matrix& x, const std::vector<int>& y) {
   // Trees train independently: tree t's RNG is derived from (seed, t) rather
   // than a shared sequential stream, so tree t is identical no matter how
   // many threads fit the forest (or in what order trees complete).
-  trees_.assign(static_cast<std::size_t>(cfg_.n_trees), DecisionTree());
+  std::vector<DecisionTree> trees(static_cast<std::size_t>(cfg_.n_trees));
   parallel_for_threads(
       cfg_.threads, static_cast<std::size_t>(cfg_.n_trees),
       [&](std::size_t t) {
@@ -191,41 +175,35 @@ void RandomForest::fit(const Matrix& x, const std::vector<int>& y) {
         std::vector<std::size_t> rows(n);
         for (std::size_t i = 0; i < n; ++i) rows[i] = tree_rng.below(n);
         tree.fit_subset(x, y, rows);
-        trees_[t] = std::move(tree);
+        trees[t] = std::move(tree);
       });
+
+  // Concatenate the trees in tree order into the artifact's layout, and sum
+  // their importances in that same order.
+  nodes_.clear();
+  offsets_.assign(1, 0);
+  importance_.assign(n_features_, 0.0);
+  for (const DecisionTree& tree : trees) {
+    nodes_.insert(nodes_.end(), tree.nodes().begin(), tree.nodes().end());
+    offsets_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+    const std::vector<double>& ti = tree.impurity_decrease();
+    for (std::size_t f = 0; f < n_features_; ++f) importance_[f] += ti[f];
+  }
 }
 
 double RandomForest::predict_proba(const double* row) const {
-  if (trees_.empty()) return 0.0;
-  double s = 0.0;
-  for (const auto& t : trees_) s += t.predict_proba(row);
-  return s / static_cast<double>(trees_.size());
+  return ForestView{nodes_.data(), offsets_.data(),
+                    static_cast<std::uint32_t>(offsets_.size() - 1),
+                    static_cast<std::uint32_t>(n_features_)}
+      .predict_proba(row);
 }
 
 int RandomForest::predict(const double* row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
 }
 
-void RandomForest::export_flat(std::vector<ForestNodeRec>* pool,
-                               std::vector<std::uint32_t>* offsets) const {
-  pool->clear();
-  offsets->clear();
-  offsets->reserve(trees_.size() + 1);
-  offsets->push_back(0);
-  for (const DecisionTree& t : trees_) {
-    t.append_flat(pool);
-    offsets->push_back(static_cast<std::uint32_t>(pool->size()));
-  }
-}
-
 std::vector<double> RandomForest::feature_importances() const {
-  std::vector<double> imp(n_features_, 0.0);
-  for (const auto& t : trees_) {
-    const auto& ti = t.impurity_decrease();
-    for (std::size_t f = 0; f < n_features_ && f < ti.size(); ++f) {
-      imp[f] += ti[f];
-    }
-  }
+  std::vector<double> imp = importance_;
   double total = 0.0;
   for (const double v : imp) total += v;
   if (total > 0) {

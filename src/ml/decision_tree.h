@@ -1,5 +1,9 @@
 // CART decision tree (gini impurity) and bagged random forest with
 // mean-decrease-impurity feature importances (used for Table VII).
+//
+// Both build straight into the JSRM artifact's node records (ForestNodeRec)
+// and predict through ForestView, the walk a mapped model runs, so a trainer
+// and every process mapping its artifact share one forest walk.
 #pragma once
 
 #include <cstdint>
@@ -36,26 +40,17 @@ class DecisionTree : public Classifier {
   void fit_subset(const Matrix& x, const std::vector<int>& y,
                   const std::vector<std::size_t>& rows);
 
-  /// Appends this tree's nodes (build order, tree-relative child indices)
-  /// to a flat ForestNodeRec pool.
-  void append_flat(std::vector<ForestNodeRec>* pool) const;
-  std::size_t node_count() const { return nodes_.size(); }
+  /// The tree's nodes in build order (preorder, tree-relative child
+  /// indices): one tree of the artifact's node pool.
+  const std::vector<ForestNodeRec>& nodes() const { return nodes_; }
 
  private:
-  struct TreeNode {
-    int feature = -1;       // -1 = leaf
-    double threshold = 0.0;
-    int left = -1;
-    int right = -1;
-    double p_malicious = 0.0;
-  };
-
   int build(const Matrix& x, const std::vector<int>& y,
             std::vector<std::size_t>& rows, std::size_t begin,
             std::size_t end, int depth, Rng& rng);
 
   TreeConfig cfg_;
-  std::vector<TreeNode> nodes_;
+  std::vector<ForestNodeRec> nodes_;
   std::vector<double> importance_;
   std::size_t n_features_ = 0;
 };
@@ -84,18 +79,18 @@ class RandomForest : public Classifier {
   /// Normalized mean-decrease-impurity importances (sums to 1).
   std::vector<double> feature_importances() const;
 
-  std::size_t tree_count() const { return trees_.size(); }
-  std::size_t feature_count() const { return n_features_; }
-
-  /// Flattens the forest into one preorder node pool plus a prefix-offset
-  /// table (tree t owns nodes [offsets[t], offsets[t+1])) — the layout the
-  /// JSRM artifact serializes and ForestView walks zero-copy.
-  void export_flat(std::vector<ForestNodeRec>* pool,
-                   std::vector<std::uint32_t>* offsets) const;
+  /// The forest in the artifact's layout: every tree's nodes() concatenated
+  /// in tree order, and a prefix-offset table (tree t owns nodes
+  /// [offsets[t], offsets[t+1])). An unfitted forest has no nodes and
+  /// offsets {0}.
+  const std::vector<ForestNodeRec>& nodes() const { return nodes_; }
+  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
 
  private:
   ForestConfig cfg_;
-  std::vector<DecisionTree> trees_;
+  std::vector<ForestNodeRec> nodes_;
+  std::vector<std::uint32_t> offsets_{0};
+  std::vector<double> importance_;  // per-tree decreases, summed in tree order
   std::size_t n_features_ = 0;
 };
 

@@ -65,8 +65,8 @@ struct ForestView {
   std::uint32_t n_trees = 0;
   std::uint32_t n_features = 0;
 
-  /// Mean leaf probability across trees, summed in tree order — the exact
-  /// arithmetic of RandomForest::predict_proba.
+  /// Mean leaf probability across trees, summed in tree order. The one
+  /// forest walk: RandomForest and DecisionTree predict through it too.
   double predict_proba(const double* row) const;
   int predict(const double* row) const {
     return predict_proba(row) >= 0.5 ? 1 : 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "core/jsrevealer.h"
@@ -133,6 +134,14 @@ TEST_F(TrainedJsRevealer, TimingsPopulated) {
 
 TEST_F(TrainedJsRevealer, DefaultOutlierMethodIsFastAbod) {
   EXPECT_EQ(detector_->outlier_method(), ml::OutlierMethod::kFastAbod);
+}
+
+TEST(JsRevealerConfig, NonDefaultMaxPathsIsRejected) {
+  // The artifact records no path cap, so the trained model's own featurize
+  // would extract with the default cap while training used another.
+  Config cfg;
+  cfg.path.max_paths = 5;
+  EXPECT_THROW({ JsRevealer det(cfg); }, std::invalid_argument);
 }
 
 TEST(JsRevealerConfig, RegularAstAblationTrains) {

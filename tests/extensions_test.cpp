@@ -145,7 +145,7 @@ class FamilyFixture : public ::testing::Test {
     detector_->train(*corpus_);
 
     classifier_ = new core::FamilyClassifier();
-    trained_on_ = classifier_->train(detector_->view(), *corpus_);
+    trained_on_ = classifier_->train(*detector_, *corpus_);
   }
 
   static void TearDownTestSuite() {
@@ -176,11 +176,11 @@ TEST_F(FamilyFixture, TrainsOnAllMaliciousSamples) {
 TEST_F(FamilyFixture, BetterThanChanceOnTrainingDistribution) {
   // 6 families -> chance is ~17%; the cluster features must carry family
   // signal well beyond that.
-  EXPECT_GT(classifier_->evaluate(detector_->view(), *corpus_), 0.5);
+  EXPECT_GT(classifier_->evaluate(*detector_, *corpus_), 0.5);
 }
 
 TEST_F(FamilyFixture, ConfusionRowsNormalized) {
-  const auto m = classifier_->confusion(detector_->view(), *corpus_);
+  const auto m = classifier_->confusion(*detector_, *corpus_);
   ASSERT_EQ(m.size(), classifier_->families().size());
   for (const auto& row : m) {
     double sum = 0.0;
@@ -193,7 +193,7 @@ TEST_F(FamilyFixture, ClassifyReturnsKnownFamily) {
   Rng rng(22);
   std::string family;
   const std::string src = dataset::generate_malicious(rng, &family);
-  const std::string predicted = classifier_->classify(detector_->view(), src);
+  const std::string predicted = classifier_->classify(*detector_, src);
   const auto& fams = classifier_->families();
   EXPECT_NE(std::find(fams.begin(), fams.end(), predicted), fams.end());
 }
@@ -203,7 +203,7 @@ TEST(FamilyClassifier, UntrainedReturnsEmpty) {
   core::Config cfg;
   cfg.embed_epochs = 2;
   core::JsRevealer det(cfg);
-  EXPECT_TRUE(fc.classify(det.view(), "var x = 1;").empty());
+  EXPECT_TRUE(fc.classify(det, "var x = 1;").empty());
 }
 
 TEST(AblationFlags, BinaryFeaturesAndNoOutlierTrain) {

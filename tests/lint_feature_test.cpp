@@ -5,6 +5,8 @@
 // artifact.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
@@ -121,6 +123,17 @@ TEST_F(LintFeatureFixture, LintModelRoundTripsSerialization) {
     EXPECT_EQ(restored.featurize(src), linted_->featurize(src));
     EXPECT_EQ(restored.classify(src), linted_->classify(src));
   }
+}
+
+TEST_F(LintFeatureFixture, CentralPathRejectsLintTailFeatures) {
+  // Lint-tail features have no centroid, hence no central path: indexing
+  // one throws instead of reading past the central-path offsets table.
+  const std::size_t feature_dim =
+      linted_->feature_count() - linted_->lint_feature_count();
+  EXPECT_NO_THROW(linted_->central_path(feature_dim - 1));
+  EXPECT_THROW(linted_->central_path(feature_dim), std::out_of_range);
+  EXPECT_THROW(linted_->central_path(linted_->feature_count() - 1),
+               std::out_of_range);
 }
 
 TEST_F(LintFeatureFixture, FlagOffArtifactHasNoLintTail) {

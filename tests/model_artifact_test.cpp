@@ -365,10 +365,10 @@ TEST(ModelViewApi, NonForestClassifierSaveArtifactThrows) {
   cfg.cluster_sample_per_class = 200;
   core::JsRevealer det(cfg);
   det.train(dataset::generate_corpus(gc));
-  // The in-memory artifact carries an empty forest; the view predicts with
-  // the trainer's SVM, but the model cannot be persisted.
-  EXPECT_TRUE(det.view().loaded());
-  EXPECT_EQ(det.view().tree_count(), 0u);
+  // The in-memory artifact carries an empty forest; the detector predicts
+  // with its SVM, but the model cannot be persisted.
+  EXPECT_TRUE(det.loaded());
+  EXPECT_EQ(det.tree_count(), 0u);
   EXPECT_THROW(det.save_artifact(), std::logic_error);
   EXPECT_THROW(det.save_artifact_file("artifact_test_svm.jsrm"),
                std::logic_error);

@@ -92,14 +92,10 @@ TEST(ParallelDeterminism, RandomForestBitIdentical) {
   fb.fit(x, y);
 
   // Strongest check: the flattened forests must match byte for byte.
-  std::vector<ml::ForestNodeRec> nodes_a, nodes_b;
-  std::vector<std::uint32_t> offsets_a, offsets_b;
-  fa.export_flat(&nodes_a, &offsets_a);
-  fb.export_flat(&nodes_b, &offsets_b);
-  EXPECT_EQ(offsets_a, offsets_b);
-  ASSERT_EQ(nodes_a.size(), nodes_b.size());
-  EXPECT_EQ(std::memcmp(nodes_a.data(), nodes_b.data(),
-                        nodes_a.size() * sizeof(ml::ForestNodeRec)),
+  EXPECT_EQ(fa.offsets(), fb.offsets());
+  ASSERT_EQ(fa.nodes().size(), fb.nodes().size());
+  EXPECT_EQ(std::memcmp(fa.nodes().data(), fb.nodes().data(),
+                        fa.nodes().size() * sizeof(ml::ForestNodeRec)),
             0);
   EXPECT_EQ(fa.feature_importances(), fb.feature_importances());
   EXPECT_EQ(fa.predict_all(x, 1), fb.predict_all(x, 4));
@@ -186,14 +182,14 @@ TEST(ParallelDeterminism, FamilyClassifierWidthInvariant) {
   det.train(corpus);
 
   core::FamilyClassifier serial(1), parallel(4);
-  ASSERT_GT(serial.train(det.view(), corpus), 0u);
-  ASSERT_GT(parallel.train(det.view(), corpus), 0u);
+  ASSERT_GT(serial.train(det, corpus), 0u);
+  ASSERT_GT(parallel.train(det, corpus), 0u);
   ASSERT_EQ(serial.families(), parallel.families());
   for (std::size_t i = 0; i < 25; ++i) {
     const auto& s = corpus.samples[i];
     if (s.label != 1) continue;
-    EXPECT_EQ(serial.classify(det.view(), s.source),
-              parallel.classify(det.view(), s.source));
+    EXPECT_EQ(serial.classify(det, s.source),
+              parallel.classify(det, s.source));
   }
 }
 
