@@ -1,4 +1,4 @@
-// Gates the JSRM v3 zero-copy model artifact:
+// Gates the JSRM v4 zero-copy model artifact:
 //
 //   * a trusted open (map + structural validation, the steady-state path of
 //     each extra serving process) must be >=10x faster than a

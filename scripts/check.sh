@@ -53,10 +53,10 @@ echo "== jsr_deob smoke (ASan+UBSan)"
 # round trip, obfuscate-still-parses, linter totality, deob totality +
 # idempotence — plus the up-front deob verdict sweep and the artifact
 # corruption sweep O6: truncated/bit-flipped JSRM artifacts must raise
-# ModelFormatError, never crash or silently change verdicts). Deterministic,
-# so a
-# failure here reproduces with the same command. Throughput lands in
-# BENCH_fuzz.json.
+# ModelFormatError, never crash or silently change verdicts, and resealed
+# payload flips must raise ModelFormatError or classify without a crash or
+# an exception). Deterministic, so a failure here reproduces with the same
+# command. Throughput lands in BENCH_fuzz.json.
 echo "== jsr_fuzz smoke (seed 1, 2000 iters, ASan+UBSan)"
 "${BUILD_DIR}/tools/jsr_fuzz" --seed 1 --iters 2000 --quiet \
     --json "${BUILD_DIR}/BENCH_fuzz.json"

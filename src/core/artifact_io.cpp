@@ -1,23 +1,21 @@
-// JSRM v3 artifact writer: serializes the parameters JsRevealer::train()
+// JSRM v4 artifact writer: serializes the parameters JsRevealer::train()
 // built into the page-aligned, checksummed section layout of
 // core/model_format.h. train() writes it once and attaches the detector to
 // the bytes; the save calls hand out those same bytes.
 //
 // The writer gathers every parameter block in its flat training-time form
-// (the vocabulary's three buffers verbatim, the attention matrices' backing
-// vectors, the packed benign bitset, the forest's node pool) and lays them
-// out back to back on 4 KiB boundaries with zero-filled gaps. Nothing here
+// (the vocabulary's three buffers verbatim, the per-path table, the packed
+// benign bitset, the forest's node pool), lays them out back to back on
+// 4 KiB boundaries with zero-filled gaps, and seals the result. Nothing here
 // is sampled, timed, or randomized, so a deterministic model produces
 // byte-identical artifacts at any thread width.
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "core/jsrevealer.h"
 #include "core/model_format.h"
 #include "ml/decision_tree.h"
-#include "util/hash.h"
 
 namespace jsrev::core {
 
@@ -38,13 +36,8 @@ void add_section(std::vector<std::uint8_t>* buf,
   rec.id = static_cast<std::uint32_t>(id);
   rec.offset = buf->size();
   rec.size = bytes;
-  rec.checksum = fnv1a64_begin();
-  if (bytes != 0) {
-    rec.checksum = fnv1a64(
-        std::string_view(static_cast<const char*>(payload), bytes));
-    const auto* b = static_cast<const std::uint8_t*>(payload);
-    buf->insert(buf->end(), b, b + bytes);
-  }
+  const auto* b = static_cast<const std::uint8_t*>(payload);
+  if (bytes != 0) buf->insert(buf->end(), b, b + bytes);
   sections->push_back(rec);
 }
 
@@ -57,7 +50,8 @@ void add_vector_section(std::vector<std::uint8_t>* buf,
 
 }  // namespace
 
-std::vector<std::uint8_t> JsRevealer::write_artifact(const Trained& t) const {
+std::vector<std::uint8_t> JsRevealer::write_artifact(
+    const paths::PathVocab& vocab, const Trained& t) const {
   // Other classifier kinds get an empty forest (zero trees, offsets {0}):
   // an unfitted RandomForest.
   const ml::RandomForest no_forest;
@@ -82,13 +76,13 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(const Trained& t) const {
     hdr.flags |= fmt::kFlagBinaryClusterFeatures;
   }
   hdr.embedding_dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  hdr.feature_dim = static_cast<std::uint32_t>(t.centroids.rows());
+  // One central path per surviving cluster.
+  hdr.feature_dim = static_cast<std::uint32_t>(t.central_path.size());
   hdr.lint_dim = static_cast<std::uint32_t>(
       cfg_.lint_features ? lint::kLintFeatureDim : 0);
   hdr.clusters_removed = static_cast<std::uint32_t>(t.clusters_removed);
-  hdr.vocab_size = static_cast<std::uint32_t>(t.vocab.size());
-  hdr.vocab_table_size =
-      static_cast<std::uint32_t>(t.vocab.table().size());
+  hdr.vocab_size = static_cast<std::uint32_t>(vocab.size());
+  hdr.vocab_table_size = static_cast<std::uint32_t>(vocab.table().size());
   hdr.n_trees = static_cast<std::uint32_t>(forest.offsets().size() - 1);
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
@@ -101,23 +95,13 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(const Trained& t) const {
   sections.reserve(fmt::kSectionCount);
 
   add_vector_section(&buf, &sections, fmt::SectionId::kVocabEntries,
-                     t.vocab.entries());
+                     vocab.entries());
   add_vector_section(&buf, &sections, fmt::SectionId::kVocabTable,
-                     t.vocab.table());
+                     vocab.table());
   add_section(&buf, &sections, fmt::SectionId::kVocabBlob,
-              t.vocab.blob().data(), t.vocab.blob().size());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionW,
-                     t.model.weight_matrix().data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionA,
-                     t.model.attention_vector());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionU,
-                     t.model.head_matrix().data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kAttentionBias,
-                     t.model.head_bias());
-  add_vector_section(&buf, &sections, fmt::SectionId::kCentroids,
-                     t.centroids.data());
-  add_vector_section(&buf, &sections, fmt::SectionId::kCentroidRadius,
-                     t.radius);
+              vocab.blob().data(), vocab.blob().size());
+  add_vector_section(&buf, &sections, fmt::SectionId::kPathTable,
+                     t.path_table);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentroidBenign,
                      t.benign);
   add_vector_section(&buf, &sections, fmt::SectionId::kCentralPathOffsets,
@@ -137,6 +121,7 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(const Trained& t) const {
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
   std::memcpy(buf.data() + sizeof(hdr), sections.data(),
               sections.size() * sizeof(fmt::SectionRec));
+  fmt::seal(buf.data());
   return buf;
 }
 

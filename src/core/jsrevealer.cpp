@@ -29,11 +29,9 @@ JsRevealer::JsRevealer(Config cfg)
   set_threads(cfg_.threads);
 }
 
-void JsRevealer::train(const dataset::Corpus& corpus) {
-  obs::Span train_span("core.train", "core");
-  Rng rng(cfg_.seed);
-  const std::size_t lint_dim = cfg_.lint_features ? lint::kLintFeatureDim : 0;
-  Trained trained;
+JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
+                                            Rng& rng) const {
+  Pretrained pre;
 
   // ---- Stage 1: path extraction over the training corpus (grows vocab) ---
   // Parse + enhanced-AST analysis + path enumeration fan out per file (the
@@ -46,7 +44,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   // training parses every script exactly once even with lint features on.
   const std::size_t n_samples = corpus.samples.size();
   std::vector<std::vector<paths::PathContext>> extracted(n_samples);
-  std::vector<std::vector<double>> lint_vecs(n_samples);
+  pre.lint_vecs.resize(n_samples);
   {
     obs::Span span("core.train.extract", "core");
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
@@ -58,23 +56,21 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
       } catch (const std::exception&) {
         // unparseable training sample contributes nothing
       }
-      if (lint_dim != 0) {
-        lint_vecs[i] = lint::lint_feature_vector(linter_.lint(a));
+      if (cfg_.lint_features) {
+        pre.lint_vecs[i] = lint::lint_feature_vector(linter_.lint(a));
       }
     });
   }
 
-  std::vector<std::vector<std::int32_t>> script_ids(n_samples);
-  std::vector<int> labels(n_samples);
+  pre.script_ids.resize(n_samples);
   for (std::size_t i = 0; i < n_samples; ++i) {
-    labels[i] = corpus.samples[i].label;
-    auto& ids = script_ids[i];
+    auto& ids = pre.script_ids[i];
     ids.reserve(extracted[i].size());
     for (const auto& pc : extracted[i]) {
-      if (trained.vocab.size() < cfg_.max_vocab) {
-        ids.push_back(trained.vocab.add(pc));
+      if (pre.vocab.size() < cfg_.max_vocab) {
+        ids.push_back(pre.vocab.add(pc));
       } else {
-        ids.push_back(trained.vocab.lookup(pc));
+        ids.push_back(pre.vocab.lookup(pc));
       }
     }
   }
@@ -93,11 +89,11 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
                              ? corpus.samples.size()
                              : cfg_.pretrain_scripts;
     for (std::size_t i = 0; i < corpus.samples.size() && budget > 0; ++i) {
-      if (script_ids[i].empty()) continue;
+      if (pre.script_ids[i].empty()) continue;
       --budget;
       ml::ScriptPaths sp;
-      sp.label = labels[i];
-      sp.path_ids = script_ids[i];
+      sp.label = corpus.samples[i].label;
+      sp.path_ids = pre.script_ids[i];
       if (sp.path_ids.size() > cfg_.train_paths_per_script) {
         rng.shuffle(sp.path_ids);
         sp.path_ids.resize(cfg_.train_paths_per_script);
@@ -109,8 +105,8 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     mc.epochs = cfg_.embed_epochs;
     mc.learning_rate = cfg_.learning_rate;
     mc.seed = cfg_.seed;
-    trained.model = ml::AttentionModel(mc);
-    trained.model.train(train_scripts, trained.vocab.size());
+    pre.model = ml::AttentionModel(mc);
+    pre.model.train(train_scripts, pre.vocab.size());
     const double total = timer.elapsed_ms();
     if (!train_scripts.empty()) {
       // Table VIII reports pre-training time per file.
@@ -118,30 +114,46 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
           ->observe(total / static_cast<double>(train_scripts.size()));
     }
   }
+  return pre;
+}
+
+ml::Matrix JsRevealer::sample_path_vectors(
+    const Pretrained& pre, const dataset::Corpus& corpus, int label, Rng& rng,
+    std::vector<std::int32_t>* ids) const {
+  ids->clear();
+  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
+    if (corpus.samples[i].label != label) continue;
+    for (const std::int32_t id : pre.script_ids[i]) {
+      if (id >= 0) ids->push_back(id);
+    }
+  }
+  rng.shuffle(*ids);
+  if (ids->size() > cfg_.cluster_sample_per_class) {
+    ids->resize(cfg_.cluster_sample_per_class);
+  }
+  ml::Matrix vecs(ids->size(), static_cast<std::size_t>(cfg_.embedding_dim));
+  parallel_for_threads(cfg_.threads, ids->size(), [&](std::size_t r) {
+    const std::vector<double> e = pre.model.path_embedding((*ids)[r]);
+    std::copy(e.begin(), e.end(), vecs.row(r));
+  });
+  return vecs;
+}
+
+void JsRevealer::train(const dataset::Corpus& corpus) {
+  obs::Span train_span("core.train", "core");
+  Rng rng(cfg_.seed);
+  const std::size_t lint_dim = cfg_.lint_features ? lint::kLintFeatureDim : 0;
+  const std::size_t n_samples = corpus.samples.size();
+  const Pretrained pre = pretrain(corpus, rng);
+  Trained trained;
 
   // ---- Stage 3: per-class vector sample, outlier removal, clustering ------
   auto build_class = [&](int label, ml::Matrix* inliers_out,
                          std::vector<std::int32_t>* inlier_ids_out) {
-    // Sample (path id, weight) pairs across all scripts of the class.
     std::vector<std::int32_t> sampled_ids;
-    for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-      if (labels[i] != label) continue;
-      for (const std::int32_t id : script_ids[i]) {
-        if (id >= 0) sampled_ids.push_back(id);
-      }
-    }
-    rng.shuffle(sampled_ids);
-    if (sampled_ids.size() > cfg_.cluster_sample_per_class) {
-      sampled_ids.resize(cfg_.cluster_sample_per_class);
-    }
-
-    const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
-    ml::Matrix vecs(sampled_ids.size(), d);
-    parallel_for_threads(cfg_.threads, sampled_ids.size(), [&](std::size_t r) {
-      const std::vector<double> e =
-          trained.model.path_embedding(sampled_ids[r]);
-      std::copy(e.begin(), e.end(), vecs.row(r));
-    });
+    const ml::Matrix vecs =
+        sample_path_vectors(pre, corpus, label, rng, &sampled_ids);
+    const auto d = vecs.cols();
 
     // Outlier removal (FastABOD by default; optionally MetaOD-style pick;
     // skippable entirely for the ablation bench).
@@ -232,25 +244,26 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   for (const bool b : drop_b) trained.clusters_removed += b;
   for (const bool m : drop_m) trained.clusters_removed += m;
 
+  // The surviving centroids (benign first) and their RMS radii.
   const std::size_t feature_dim =
       cb.centroids.rows() + cm.centroids.rows() - trained.clusters_removed;
-  trained.centroids = ml::Matrix(feature_dim, d);
-  trained.benign.assign(benign_word_count(feature_dim), 0);
-  trained.radius.assign(feature_dim, 0.0);
+  ml::Matrix centroids(feature_dim, d);
+  std::vector<double> radius(feature_dim, 0.0);
+  trained.benign.assign(fmt::benign_word_count(feature_dim), 0);
   std::size_t row = 0;
   for (std::size_t i = 0; i < cb.centroids.rows(); ++i) {
     if (drop_b[i]) continue;
     std::copy(cb.centroids.row(i), cb.centroids.row(i) + d,
-              trained.centroids.row(row));
-    set_benign_bit(trained.benign.data(), row, true);
-    trained.radius[row] = rms_radius(cb, i);
+              centroids.row(row));
+    fmt::set_benign_bit(trained.benign.data(), row);
+    radius[row] = rms_radius(cb, i);
     ++row;
   }
   for (std::size_t j = 0; j < cm.centroids.rows(); ++j) {
     if (drop_m[j]) continue;
     std::copy(cm.centroids.row(j), cm.centroids.row(j) + d,
-              trained.centroids.row(row));
-    trained.radius[row] = rms_radius(cm, j);
+              centroids.row(row));
+    radius[row] = rms_radius(cm, j);
     ++row;
   }
 
@@ -265,11 +278,11 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     parallel_for_threads(cfg_.threads, feature_dim, [&](std::size_t f) {
       double best = nearest_d[f];
       for (std::size_t r = 0; r < vecs.rows(); ++r) {
-        const double dist = ml::squared_distance(trained.centroids.row(f),
-                                                 vecs.row(r), d);
+        const double dist =
+            ml::squared_distance(centroids.row(f), vecs.row(r), d);
         if (dist < best) {
           best = dist;
-          trained.central_path[f] = std::string(trained.vocab.key(ids[r]));
+          trained.central_path[f] = std::string(pre.vocab.key(ids[r]));
         }
       }
       nearest_d[f] = best;
@@ -279,31 +292,33 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   assign_central(malicious_vecs, malicious_ids);
 
   // ---- Stage 5: featurize the training corpus and fit the classifier ------
-  // Cluster-membership features, then (when enabled) the per-script lint
-  // summary tail. Both land in disjoint row slots, so the fan-out keeps the
-  // bit-identical-at-any-width guarantee. The cluster features run the
-  // kernel ModelView::featurize runs, over the local parameters, so training
-  // rows and inference rows are computed identically.
-  ClusterParams cp;
-  cp.centroids = trained.centroids.data().data();
-  cp.radius = trained.radius.data();
-  cp.benign = trained.benign.data();
-  cp.feature_dim = static_cast<std::uint32_t>(feature_dim);
-  cp.dim = static_cast<std::uint32_t>(d);
-  cp.binary_features = cfg_.binary_cluster_features;
+  // First the per-path table: each vocabulary id's attention score and
+  // cluster, the only part of the embedding model and the cluster geometry
+  // that inference needs. Then cluster-membership features through that
+  // table, and (when enabled) the per-script lint summary tail. Rows land in
+  // disjoint slots, so the fan-out keeps the bit-identical-at-any-width
+  // guarantee. The cluster features run the kernel ModelView::featurize
+  // runs over the artifact's copy of the table, so training rows and
+  // inference rows are computed identically.
+  trained.path_table =
+      ml::build_path_table(pre.model, centroids, radius, cfg_.threads);
+  ml::PathTableView table;
+  table.recs = trained.path_table.data();
+  table.size = static_cast<std::uint32_t>(trained.path_table.size());
+  table.n_clusters = static_cast<std::uint32_t>(feature_dim);
+  table.binary = cfg_.binary_cluster_features;
   ml::Matrix x(n_samples, feature_dim + lint_dim);
   std::vector<int> y(n_samples);
   {
     obs::Span span("core.train.featurize", "core");
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
-      const std::vector<double> f =
-          cluster_features(cp, trained.model.embed(script_ids[i]));
+      const std::vector<double> f = table.cluster_features(pre.script_ids[i]);
       std::copy(f.begin(), f.end(), x.row(i));
       if (lint_dim != 0) {
-        std::copy(lint_vecs[i].begin(), lint_vecs[i].end(),
+        std::copy(pre.lint_vecs[i].begin(), pre.lint_vecs[i].end(),
                   x.row(i) + feature_dim);
       }
-      y[i] = labels[i];
+      y[i] = corpus.samples[i].label;
     });
   }
   trained.scaler.fit(x);
@@ -316,9 +331,9 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
                 static_cast<double>(std::max<std::size_t>(1, x.rows())));
 
   // ---- Stage 6: attach to the artifact every inference call runs on -----
-  // The bytes were checksummed as they were written, so the attach skips
-  // the verification pass. The locals in `trained` die with this frame.
-  from_buffer(write_artifact(trained), /*verify_checksums=*/false);
+  // The writer sealed the bytes it wrote, so the attach skips the payload
+  // verification pass. `pre` and `trained` die with this frame.
+  from_buffer(write_artifact(pre.vocab, trained), /*verify_checksums=*/false);
   if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
     predict_hook_ = classifier_.get();  // Table II's non-forest kinds
   }
@@ -341,7 +356,7 @@ std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
     e.feature_index = static_cast<int>(order[i]);
     e.importance = imp[order[i]];
     if (order[i] < header_.feature_dim) {
-      e.from_benign = benign_bit(cluster_.benign, order[i]);
+      e.from_benign = fmt::benign_bit(benign_, order[i]);
       e.central_path = std::string(central_path(order[i]));
     } else {
       // Lint-tail feature: no centroid behind it, label it by name.
@@ -355,48 +370,15 @@ std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
 }
 
 std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
-                                          int label, int k_lo, int k_hi) {
-  // Requires a trained model (call train() first, or this trains on the
-  // given corpus implicitly); path vectors are tanh(W[id]) read from the
-  // artifact.
-  if (!loaded()) train(corpus);
-
+                                          int label, int k_lo,
+                                          int k_hi) const {
+  // Path vectors are tanh(W[id]) of the embedding model train()'s stages
+  // 1-2 pre-train on `corpus`, sampled as stage 3 samples them.
+  Rng train_rng(cfg_.seed);
+  const Pretrained pre = pretrain(corpus, train_rng);
   Rng rng(cfg_.seed + 7);
-  // Extraction fans out per script; id collection stays serial in sample
-  // order so the shuffle below consumes an order-independent sequence.
-  std::vector<std::vector<std::int32_t>> per_script(corpus.samples.size());
-  parallel_for_threads(
-      cfg_.threads, corpus.samples.size(), [&](std::size_t i) {
-        const auto& s = corpus.samples[i];
-        if (s.label != label) return;
-        std::vector<paths::PathContext> pcs;
-        try {
-          const analysis::ScriptAnalysis a(s.source, {}, cfg_.deobfuscate);
-          obs::StageDurationsMs ms;
-          pcs = extract(a, cfg_.path, &ms);
-        } catch (const std::exception&) {
-          return;
-        }
-        for (const auto& pc : pcs) {
-          const std::int32_t id = vocab_.lookup(pc);
-          if (id >= 0) per_script[i].push_back(id);
-        }
-      });
-  std::vector<std::int32_t> sampled_ids;
-  for (const auto& ids : per_script) {
-    sampled_ids.insert(sampled_ids.end(), ids.begin(), ids.end());
-  }
-  rng.shuffle(sampled_ids);
-  if (sampled_ids.size() > cfg_.cluster_sample_per_class) {
-    sampled_ids.resize(cfg_.cluster_sample_per_class);
-  }
-  const auto d = static_cast<std::size_t>(cfg_.embedding_dim);
-  ml::Matrix vecs(sampled_ids.size(), d);
-  parallel_for_threads(cfg_.threads, sampled_ids.size(), [&](std::size_t r) {
-    const double* w = attn_.w + static_cast<std::size_t>(sampled_ids[r]) * d;
-    double* v = vecs.row(r);
-    for (std::size_t k = 0; k < d; ++k) v[k] = std::tanh(w[k]);
-  });
+  std::vector<std::int32_t> ids;
+  const ml::Matrix vecs = sample_path_vectors(pre, corpus, label, rng, &ids);
 
   std::vector<double> sse;
   for (int k = k_lo; k <= k_hi; ++k) {

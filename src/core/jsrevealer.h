@@ -25,6 +25,7 @@
 #include "ml/outlier.h"
 #include "ml/scaler.h"
 #include "paths/vocab.h"
+#include "util/rng.h"
 
 namespace jsrev::core {
 
@@ -59,13 +60,15 @@ class JsRevealer final : public ModelView {
   /// (Table VII). Only valid after train() with the random-forest classifier.
   std::vector<FeatureReportEntry> feature_report(int n = 5) const;
 
-  /// SSE curve helper for the Fig. 5 elbow plot: clusters one class's path
-  /// vectors (collected exactly as train() does) at each K in [k_lo, k_hi]
-  /// and returns the SSE per K. `label` selects benign (0) / malicious (1).
+  /// SSE curve helper for the Fig. 5 elbow plot: runs train()'s stages 1-2
+  /// on `corpus` (the artifact carries no embedding matrix), samples one
+  /// class's path vectors as stage 3 does, clusters them at each K in
+  /// [k_lo, k_hi] and returns the SSE per K. `label` selects benign (0) /
+  /// malicious (1). Neither needs nor changes the trained model.
   std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
-                                int k_lo, int k_hi);
+                                int k_lo, int k_hi) const;
 
-  /// The trained model as a JSRM v3 artifact (core/model_format.h):
+  /// The trained model as a JSRM v4 artifact (core/model_format.h):
   /// page-aligned sections with per-section checksums, mappable read-only by
   /// core::ModelView — the bytes this detector is attached to. Deterministic
   /// for a deterministic model. Throws std::logic_error if untrained or
@@ -74,24 +77,45 @@ class JsRevealer final : public ModelView {
   void save_artifact_file(const std::string& path) const;
 
  private:
-  /// Every parameter block train() builds, held only until write_artifact()
-  /// has serialized it.
-  struct Trained {
+  /// What train()'s stages 1-2 produce: the vocabulary, each sample's path
+  /// ids (kUnknown past max_vocab) and lint tail (empty without lint
+  /// features), and the pre-trained embedding model.
+  struct Pretrained {
     paths::PathVocab vocab;
+    std::vector<std::vector<std::int32_t>> script_ids;
+    std::vector<std::vector<double>> lint_vecs;
     ml::AttentionModel model;
-    ml::Matrix centroids;  // feature_dim x d (both classes)
-    // Per-centroid benign-origin bits, packed 64 per word (feature_ops.h
+  };
+
+  /// Every parameter block train() serializes besides the vocabulary, held
+  /// only until write_artifact() has written it.
+  struct Trained {
+    std::vector<ml::PathTableRec> path_table;  // one record per vocab id
+    // Per-cluster benign-origin bits, packed 64 per word (model_format.h
     // helpers) — the exact words the artifact serializes.
     std::vector<std::uint64_t> benign;
-    std::vector<double> radius;             // RMS radius per centroid
     std::vector<std::string> central_path;  // Table VII inverse index
     std::size_t clusters_removed = 0;
     ml::MinMaxScaler scaler;
   };
 
+  /// Stages 1-2 of train(): path extraction (growing the vocabulary) and
+  /// the embedding model's pre-training, which draws from `rng`.
+  Pretrained pretrain(const dataset::Corpus& corpus, Rng& rng) const;
+
+  /// One class's path-vector sample (stage 3, sse_curve): the known path
+  /// ids of every `label` script in sample order, shuffled by `rng`, cut to
+  /// cfg.cluster_sample_per_class, one tanh(W[id]) row each. The sampled ids
+  /// land in `ids`.
+  ml::Matrix sample_path_vectors(const Pretrained& pre,
+                                 const dataset::Corpus& corpus, int label,
+                                 Rng& rng,
+                                 std::vector<std::int32_t>* ids) const;
+
   /// Serializes the trained parameters. Any classifier kind: a non-forest
   /// model gets an empty forest (it predicts through the predict hook).
-  std::vector<std::uint8_t> write_artifact(const Trained& t) const;
+  std::vector<std::uint8_t> write_artifact(const paths::PathVocab& vocab,
+                                           const Trained& t) const;
 
   /// The attached bytes, after save_artifact()'s preconditions.
   std::span<const std::uint8_t> artifact_bytes() const;

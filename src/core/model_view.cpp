@@ -6,13 +6,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 #include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/hash.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -26,19 +26,14 @@ namespace {
   throw ser::ModelFormatError(section, offset, detail);
 }
 
+// The detail is a literal, so a check that passes builds no string; checks
+// whose message carries numbers call fail() on the failure branch instead.
 void require(bool ok, const char* section, std::uint64_t offset,
-             const std::string& detail) {
+             const char* detail) {
   if (!ok) fail(section, offset, detail);
 }
 
 bool is_pow2(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-std::uint64_t payload_checksum(const std::uint8_t* data,
-                               const fmt::SectionRec& rec) {
-  if (rec.size == 0) return fnv1a64_begin();
-  return fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(data + rec.offset), rec.size));
-}
 
 }  // namespace
 
@@ -93,76 +88,90 @@ void ModelView::from_buffer(std::vector<std::uint8_t> bytes,
 
 const std::uint8_t* ModelView::section_payload(fmt::SectionId id,
                                                std::size_t* size_out) const {
-  for (const fmt::SectionRec& rec : sections_) {
-    if (rec.id == static_cast<std::uint32_t>(id)) {
-      *size_out = rec.size;
-      return data_ + rec.offset;
-    }
-  }
-  fail(fmt::section_name(id), 0, "section missing");
+  // attach() checked that the table lists the sections in id order.
+  const fmt::SectionRec& rec = sections_[static_cast<std::uint32_t>(id) - 1];
+  *size_out = rec.size;
+  return data_ + rec.offset;
 }
 
 void ModelView::attach(std::shared_ptr<const void> owner,
                        const std::uint8_t* data, std::size_t size,
                        bool verify_checksums) {
-  // --- header ---
-  require(size >= sizeof(fmt::ArtifactHeader), "header", 0,
-          "truncated before the header ends (" + std::to_string(size) +
-              " bytes)");
-  fmt::ArtifactHeader hdr;
+  using Hdr = fmt::ArtifactHeader;
+  // --- header + section table, sealed by the header checksum ---
+  if (size < sizeof(Hdr)) {
+    fail("header", 0,
+         "truncated before the header ends (" + std::to_string(size) +
+             " bytes)");
+  }
+  Hdr hdr;
   std::memcpy(&hdr, data, sizeof(hdr));
   require(std::memcmp(hdr.magic, fmt::kMagic, sizeof(hdr.magic)) == 0,
           "header", 0, "bad magic (not a JSRM artifact)");
-  require(hdr.version == fmt::kFormatVersion, "header", 4,
-          "unsupported artifact version " + std::to_string(hdr.version));
-  require(hdr.file_size == size, "header", 8,
-          "file size mismatch: header says " + std::to_string(hdr.file_size) +
-              ", file has " + std::to_string(size));
-  require(hdr.section_count == fmt::kSectionCount, "header", 16,
-          "unexpected section count " + std::to_string(hdr.section_count));
-  require(hdr.embedding_dim > 0 && hdr.embedding_dim <= (1u << 20), "header",
-          24, "implausible embedding_dim");
-  require(hdr.feature_dim <= (1u << 24), "header", 28,
-          "implausible feature_dim");
-  require(hdr.lint_dim == 0 || hdr.lint_dim == lint::kLintFeatureDim,
-          "header", 32,
-          "lint feature width mismatch: file has " +
-              std::to_string(hdr.lint_dim));
-  require(hdr.vocab_table_size == 0 || is_pow2(hdr.vocab_table_size),
-          "header", 44, "vocabulary table size is not a power of two");
-  require(hdr.vocab_size == 0 || hdr.vocab_table_size > hdr.vocab_size,
-          "header", 44, "vocabulary table smaller than the vocabulary");
-
-  // --- section table ---
+  if (hdr.version != fmt::kFormatVersion) {
+    fail("header", offsetof(Hdr, version),
+         "unsupported artifact version " + std::to_string(hdr.version));
+  }
+  if (hdr.file_size != size) {
+    fail("header", offsetof(Hdr, file_size),
+         "file size mismatch: header says " + std::to_string(hdr.file_size) +
+             ", file has " + std::to_string(size));
+  }
+  if (hdr.section_count != fmt::kSectionCount) {
+    fail("header", offsetof(Hdr, section_count),
+         "unexpected section count " + std::to_string(hdr.section_count));
+  }
   const std::uint64_t table_end =
-      sizeof(fmt::ArtifactHeader) +
-      static_cast<std::uint64_t>(hdr.section_count) * sizeof(fmt::SectionRec);
-  require(size >= table_end, "section_table", sizeof(fmt::ArtifactHeader),
+      sizeof(Hdr) + std::uint64_t{hdr.section_count} * sizeof(fmt::SectionRec);
+  require(size >= table_end, "section_table", sizeof(Hdr),
           "truncated inside the section table");
-  std::vector<fmt::SectionRec> sections(hdr.section_count);
-  std::memcpy(sections.data(), data + sizeof(fmt::ArtifactHeader),
-              hdr.section_count * sizeof(fmt::SectionRec));
+  require(fmt::header_checksum(data, hdr.section_count) == hdr.checksum,
+          "header", offsetof(Hdr, checksum),
+          "header checksum mismatch (header or section table corrupted)");
+  require((hdr.flags & ~fmt::kKnownFlags) == 0, "header",
+          offsetof(Hdr, flags), "unknown flag bits");
+  require(hdr.reserved0 == 0, "header", offsetof(Hdr, reserved0),
+          "reserved field is not zero");
+  require(hdr.embedding_dim > 0 && hdr.embedding_dim <= (1u << 20), "header",
+          offsetof(Hdr, embedding_dim), "implausible embedding_dim");
+  require(hdr.feature_dim <= (1u << 24), "header", offsetof(Hdr, feature_dim),
+          "implausible feature_dim");
+  if (hdr.lint_dim != 0 && hdr.lint_dim != lint::kLintFeatureDim) {
+    fail("header", offsetof(Hdr, lint_dim),
+         "lint feature width mismatch: file has " +
+             std::to_string(hdr.lint_dim));
+  }
+  require(hdr.vocab_table_size == 0 || is_pow2(hdr.vocab_table_size),
+          "header", offsetof(Hdr, vocab_table_size),
+          "vocabulary table size is not a power of two");
+  require(hdr.vocab_size == 0 || hdr.vocab_table_size > hdr.vocab_size,
+          "header", offsetof(Hdr, vocab_table_size),
+          "vocabulary table smaller than the vocabulary");
 
-  std::uint32_t seen_ids = 0;
-  for (const fmt::SectionRec& rec : sections) {
-    const auto id = static_cast<fmt::SectionId>(rec.id);
-    const char* name = fmt::section_name(id);
-    require(rec.id >= 1 && rec.id <= fmt::kSectionCount, "section_table",
-            rec.offset, "unknown section id " + std::to_string(rec.id));
-    require((seen_ids & (1u << rec.id)) == 0, "section_table", rec.offset,
-            std::string("duplicate section ") + name);
-    seen_ids |= 1u << rec.id;
+  std::vector<fmt::SectionRec> sections(hdr.section_count);
+  std::memcpy(sections.data(), data + sizeof(Hdr),
+              hdr.section_count * sizeof(fmt::SectionRec));
+  std::uint64_t prev_end = table_end;
+  for (std::uint32_t k = 0; k < hdr.section_count; ++k) {
+    const fmt::SectionRec& rec = sections[k];
+    if (rec.id != k + 1) {
+      fail("section_table", sizeof(Hdr) + k * sizeof(fmt::SectionRec),
+           "row " + std::to_string(k) + " holds section id " +
+               std::to_string(rec.id) + ", expected " + std::to_string(k + 1));
+    }
+    const char* name = fmt::section_name(static_cast<fmt::SectionId>(rec.id));
     require(rec.reserved == 0, name, rec.offset,
             "reserved field is not zero");
     require(rec.offset % fmt::kSectionAlign == 0, name, rec.offset,
             "payload is not aligned");
-    require(rec.offset >= table_end && rec.offset <= size &&
+    require(rec.offset >= prev_end && rec.offset <= size &&
                 rec.size <= size - rec.offset,
-            name, rec.offset, "payload exceeds the file");
+            name, rec.offset,
+            "payload overlaps the previous one or exceeds the file");
+    prev_end = rec.offset + rec.size;
     if (verify_checksums) {
-      const std::uint64_t got = payload_checksum(data, rec);
-      require(got == rec.checksum, name, rec.offset,
-              "checksum mismatch (payload corrupted)");
+      require(fmt::payload_checksum(data, rec) == rec.checksum, name,
+              rec.offset, "checksum mismatch (payload corrupted)");
     }
   }
 
@@ -188,15 +197,15 @@ void ModelView::attach(std::shared_ptr<const void> owner,
     }
   } rollback{this};
 
-  const auto d = static_cast<std::size_t>(hdr.embedding_dim);
   const std::size_t n_features = hdr.feature_dim + hdr.lint_dim;
   auto expect_size = [&](fmt::SectionId id, std::uint64_t want) {
     std::size_t got = 0;
     const std::uint8_t* p = section_payload(id, &got);
-    require(got == want, fmt::section_name(id),
-            static_cast<std::uint64_t>(p - data_),
-            "payload is " + std::to_string(got) + " bytes, expected " +
-                std::to_string(want));
+    if (got != want) {
+      fail(fmt::section_name(id), static_cast<std::uint64_t>(p - data_),
+           "payload is " + std::to_string(got) + " bytes, expected " +
+               std::to_string(want));
+    }
     return p;
   };
 
@@ -215,42 +224,47 @@ void ModelView::attach(std::shared_ptr<const void> owner,
     const bool segments_fit =
         e.length <= blob_size && e.offset <= blob_size - e.length &&
         std::uint64_t(e.source_len) + 1 + e.path_len + 1 <= e.length;
-    require(segments_fit, "vocab.entries", i,
-            "entry " + std::to_string(i) + " exceeds the key blob");
+    if (!segments_fit) {
+      fail("vocab.entries", i,
+           "entry " + std::to_string(i) + " exceeds the key blob");
+    }
   }
+  std::uint32_t occupied = 0;
   for (std::uint32_t s = 0; s < hdr.vocab_table_size; ++s) {
     require(table[s] <= hdr.vocab_size, "vocab.table", s,
             "probe slot points past the vocabulary");
+    occupied += table[s] != 0;
   }
+  // With vocab_size of the table_size > vocab_size slots occupied, at least
+  // one is empty, and every lookup's probe sequence stops there.
+  require(occupied == hdr.vocab_size, "vocab.table", 0,
+          "occupied probe slots do not match the vocabulary size");
   vocab_ = paths::PathVocabView(blob, entries, hdr.vocab_size, table,
                                 hdr.vocab_table_size);
 
-  // --- attention model ---
-  attn_.w = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kAttentionW, std::uint64_t(hdr.vocab_size) * d * 8));
-  attn_.attn = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionA, std::uint64_t(d) * 8));
-  attn_.u = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionU, std::uint64_t(2) * d * 8));
-  attn_.bias = reinterpret_cast<const double*>(
-      expect_size(fmt::SectionId::kAttentionBias, 16));
-  attn_.vocab_size = hdr.vocab_size;
-  attn_.dim = hdr.embedding_dim;
+  // --- per-path table ---
+  const auto* recs = reinterpret_cast<const ml::PathTableRec*>(expect_size(
+      fmt::SectionId::kPathTable,
+      std::uint64_t(hdr.vocab_size) * sizeof(ml::PathTableRec)));
+  for (std::uint32_t i = 0; i < hdr.vocab_size; ++i) {
+    const ml::PathTableRec& r = recs[i];
+    if (r.cluster < -1 || r.cluster >= std::int64_t{hdr.feature_dim} ||
+        r.pad != 0) {
+      fail("path.table", i,
+           "record " + std::to_string(i) + " has cluster " +
+               std::to_string(r.cluster) + " (feature_dim " +
+               std::to_string(hdr.feature_dim) + ") or a nonzero pad");
+    }
+  }
+  path_table_.recs = recs;
+  path_table_.size = hdr.vocab_size;
+  path_table_.n_clusters = hdr.feature_dim;
+  path_table_.binary = (hdr.flags & fmt::kFlagBinaryClusterFeatures) != 0;
 
-  // --- cluster geometry ---
-  cluster_.centroids = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kCentroids, std::uint64_t(hdr.feature_dim) * d * 8));
-  cluster_.radius = reinterpret_cast<const double*>(expect_size(
-      fmt::SectionId::kCentroidRadius, std::uint64_t(hdr.feature_dim) * 8));
-  cluster_.benign = reinterpret_cast<const std::uint64_t*>(expect_size(
+  // --- clusters: benign-origin bits and the interpretability index ---
+  benign_ = reinterpret_cast<const std::uint64_t*>(expect_size(
       fmt::SectionId::kCentroidBenign,
-      std::uint64_t(benign_word_count(hdr.feature_dim)) * 8));
-  cluster_.feature_dim = hdr.feature_dim;
-  cluster_.dim = hdr.embedding_dim;
-  cluster_.binary_features =
-      (hdr.flags & fmt::kFlagBinaryClusterFeatures) != 0;
-
-  // --- interpretability index ---
+      std::uint64_t(fmt::benign_word_count(hdr.feature_dim)) * 8));
   central_offsets_ = reinterpret_cast<const std::uint32_t*>(
       expect_size(fmt::SectionId::kCentralPathOffsets,
                   (std::uint64_t(hdr.feature_dim) + 1) * sizeof(std::uint32_t)));
@@ -290,12 +304,16 @@ void ModelView::attach(std::shared_ptr<const void> owner,
     for (std::uint32_t i = offsets[t]; i < offsets[t + 1]; ++i) {
       const ml::ForestNodeRec& n = nodes[i];
       if (n.feature < 0) continue;  // leaf
-      const bool ok =
-          static_cast<std::uint32_t>(n.feature) < n_features &&
-          n.left >= 0 && static_cast<std::uint32_t>(n.left) < tree_size &&
-          n.right >= 0 && static_cast<std::uint32_t>(n.right) < tree_size;
-      require(ok, "forest.nodes", i,
-              "node " + std::to_string(i) + " indexes out of bounds");
+      // Trees are stored in preorder, so children follow their parent and
+      // every walk ends at a leaf.
+      const std::int64_t local = i - offsets[t];
+      const bool ok = static_cast<std::uint32_t>(n.feature) < n_features &&
+                      n.left > local && n.left < std::int64_t{tree_size} &&
+                      n.right > local && n.right < std::int64_t{tree_size};
+      if (!ok) {
+        fail("forest.nodes", i,
+             "node " + std::to_string(i) + " indexes out of bounds");
+      }
     }
   }
   require(offsets[hdr.n_trees] == n_nodes, "forest.offsets", hdr.n_trees,
@@ -330,7 +348,7 @@ ArtifactInfo ModelView::info() const {
     ArtifactSectionInfo si;
     si.rec = rec;
     si.name = fmt::section_name(static_cast<fmt::SectionId>(rec.id));
-    si.checksum_ok = payload_checksum(data_, rec) == rec.checksum;
+    si.checksum_ok = fmt::payload_checksum(data_, rec) == rec.checksum;
     out.sections.push_back(si);
   }
   return out;
@@ -387,16 +405,18 @@ std::vector<double> ModelView::featurize(
   // reports its cost.
   ms.parse = analysis.parse_ms();
 
+  // The four table-lookup steps, all booked as the embedding stage: probe
+  // the vocabulary, then read, softmax and accumulate the path records.
   Timer t_embed;
   std::vector<std::int32_t> ids;
   ids.reserve(pcs.size());
   for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
-  ml::EmbeddedScript emb = ml::embed_paths(attn_, ids);
+  std::size_t outside = 0;
+  std::vector<double> f = path_table_.cluster_features(ids, &outside);
   ms.embedding = t_embed.elapsed_ms();
   embedding_stage->observe(ms.embedding);
 
   obs::VerdictProvenance* prov = analysis.provenance();
-  std::vector<double> f = cluster_features(cluster_, emb, prov);
   if (header_.lint_dim != 0) {
     // Shares the analysis' memoized AST/scope/data-flow with the path
     // extraction above: the lint tail costs no second parse.
@@ -432,6 +452,16 @@ std::vector<double> ModelView::featurize(
     prov->known_path_count = static_cast<std::size_t>(
         std::count_if(ids.begin(), ids.end(),
                       [](std::int32_t id) { return id >= 0; }));
+    prov->paths_outside_clusters = outside;
+    prov->cluster_attention.clear();
+    for (std::uint32_t c = 0; c < header_.feature_dim; ++c) {
+      if (f[c] == 0.0) continue;  // record only clusters the script touched
+      obs::ClusterAttention ca;
+      ca.feature_index = static_cast<int>(c);
+      ca.from_benign = fmt::benign_bit(benign_, c);
+      ca.mass = f[c];
+      prov->cluster_attention.push_back(ca);
+    }
     prov->train_clusters_removed = header_.clusters_removed;
     prov->stage_ms = ms;
   }

@@ -6,11 +6,16 @@
 // bytes, so its featurize, classify, explain and classify_all are the code
 // below. A serving process maps the same artifact from disk.
 // No parameter is parsed into owned storage — the vocabulary probe table,
-// attention matrices, cluster geometry, scaler bounds, and forest node pool
-// are all borrowed pointers into the mapping, so N detector processes
-// sharing one artifact share one page cache copy, and opening a model costs
-// validation (header, section table, checksums, index bounds) instead of
+// per-path table, cluster bits, scaler bounds, and forest node pool are all
+// borrowed pointers into the mapping, so N detector processes sharing one
+// artifact share one page cache copy, and opening a model costs validation
+// (header seal, section table, checksums, index bounds) instead of
 // deserialization.
+//
+// Featurization is table lookups: each extracted path is probed in the
+// vocabulary, its path.table record gives its attention score and cluster,
+// and ml::PathTableView::cluster_features softmaxes the scores and sums them
+// per cluster.
 //
 // The last step of classify is the predict call: the artifact's forest,
 // except for a JsRevealer trained with one of Table II's non-forest
@@ -27,7 +32,10 @@
 //
 // Malformed input — truncation, bit flips, inconsistent dimensions — always
 // surfaces as ser::ModelFormatError at map/attach time, never as a crash or
-// a silently wrong verdict later (fuzz oracle O6 in tools/jsr_fuzz.cpp).
+// a silently wrong verdict later. A payload that was edited and then
+// resealed passes the checksums; attach still rejects any index in it that
+// is out of range, so what attaches classifies without crashing (fuzz
+// oracle O6 in tools/jsr_fuzz.cpp).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +45,6 @@
 #include <vector>
 
 #include "baselines/detector.h"
-#include "core/feature_ops.h"
 #include "core/model_format.h"
 #include "js/parse_limits.h"
 #include "lint/linter.h"
@@ -87,7 +94,8 @@ class ModelView : public detect::Detector {
   /// Maps an artifact file and validates it (format, checksums, indices).
   /// Throws ser::ModelFormatError on any malformed content.
   /// `verify_checksums` = false skips the per-section FNV pass (touching
-  /// every page) for callers that trust the file, e.g. repeated warm opens.
+  /// every page) for callers that trust the file, e.g. repeated warm opens;
+  /// the header seal and the index checks run either way.
   void map_file(const std::string& path, bool verify_checksums = true);
 
   /// Attaches to an in-memory artifact (the fuzz oracle's entry point);
@@ -129,9 +137,10 @@ class ModelView : public detect::Detector {
   /// std::logic_error when no artifact is attached.
   ///
   /// The analysis overload is the one featurize body: it books the
-  /// enhanced-AST, path traversal, embedding and (with a lint tail) lint
-  /// durations into obs::stage_summary, and fills the provenance record
-  /// when the analysis captures one.
+  /// enhanced-AST, path traversal, embedding (vocabulary probe + path-table
+  /// features) and (with a lint tail) lint durations into
+  /// obs::stage_summary, and fills the provenance record when the analysis
+  /// captures one.
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
@@ -182,8 +191,8 @@ class ModelView : public detect::Detector {
 
   // Borrowed views into the mapping (valid while owner_ lives).
   paths::PathVocabView vocab_;
-  ml::AttentionParams attn_;
-  ClusterParams cluster_;
+  ml::PathTableView path_table_;
+  const std::uint64_t* benign_ = nullptr;  // clusters.benign bits
   ml::ForestView forest_;
   const double* scaler_min_ = nullptr;
   const double* scaler_max_ = nullptr;

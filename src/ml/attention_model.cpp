@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "ml/model_view_ops.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace jsrev::ml {
@@ -187,24 +186,6 @@ double AttentionModel::train(const std::vector<ScriptPaths>& scripts,
   }
   trained_ = true;
   return last_epoch_loss;
-}
-
-EmbeddedScript AttentionModel::embed(
-    const std::vector<std::int32_t>& path_ids) const {
-  static obs::Counter* embeds =
-      obs::metrics().counter("ml.attention.embed_calls");
-  embeds->add();
-  // Goes through the shared raw-pointer kernel — the same code a ModelView
-  // runs — so training-time and artifact embeddings are bit-identical by
-  // construction.
-  AttentionParams p;
-  p.w = w_.data().data();
-  p.attn = attn_.data();
-  p.u = u_.data().data();
-  p.bias = bias_.data();
-  p.vocab_size = static_cast<std::uint32_t>(vocab_size_);
-  p.dim = static_cast<std::uint32_t>(cfg_.embedding_dim);
-  return embed_paths(p, path_ids);
 }
 
 double AttentionModel::predict_malicious(

@@ -11,9 +11,10 @@
 //     y' = softmax(U v + b)                          (Eq. 4)
 // trained with cross-entropy loss (Eq. 5) via manual backprop (Adam).
 //
-// After pre-training on a labeled corpus, the model exposes, per script,
-// the path embeddings e_i and attention weights alpha_i — the inputs of the
-// feature-extraction stage.
+// After pre-training on a labeled corpus, the model exposes each path's
+// embedding e_i and its attention score e_i · a — the inputs of the
+// feature-extraction stage, which ml::build_path_table folds into one
+// record per vocabulary id.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +40,6 @@ struct ScriptPaths {
   int label = 0;                       // 1 = malicious
 };
 
-struct EmbeddedScript {
-  // Row i = embedding e_i of the i-th known path of the script.
-  Matrix embeddings;
-  std::vector<double> weights;  // alpha_i, aligned with embeddings rows
-  // Vocabulary id of each embedded row (known paths only), aligned.
-  std::vector<std::int32_t> path_ids;
-};
-
 class AttentionModel {
  public:
   explicit AttentionModel(AttentionModelConfig cfg = {});
@@ -55,10 +48,6 @@ class AttentionModel {
   /// Returns the final average training loss.
   double train(const std::vector<ScriptPaths>& scripts,
                std::size_t vocab_size);
-
-  /// Embeds the paths of one (possibly unseen) script. Unknown path ids are
-  /// skipped. An empty script yields an empty result.
-  EmbeddedScript embed(const std::vector<std::int32_t>& path_ids) const;
 
   /// Classifier-head probability that the script is malicious (used by
   /// tests to check the head learned something; the detector itself uses
@@ -71,13 +60,9 @@ class AttentionModel {
   /// Embedding of a single vocabulary entry (column of W through tanh).
   std::vector<double> path_embedding(std::int32_t path_id) const;
 
-  // Flat parameter access for the artifact writer (serialized verbatim; the
-  // mapped ModelView reads the same layout back zero-copy).
+  // What ml::build_path_table reads besides path_embedding().
   std::size_t vocab_size() const { return vocab_size_; }
-  const Matrix& weight_matrix() const { return w_; }
   const std::vector<double>& attention_vector() const { return attn_; }
-  const Matrix& head_matrix() const { return u_; }
-  const std::vector<double>& head_bias() const { return bias_; }
 
  private:
   struct Forward {

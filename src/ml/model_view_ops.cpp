@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/thread_pool.h"
+
 namespace jsrev::ml {
 
 void softmax_inplace(std::vector<double>& v) {
@@ -32,29 +34,58 @@ int nearest_centroid_raw(const double* centroids, std::size_t n,
   return best;
 }
 
-EmbeddedScript embed_paths(const AttentionParams& p,
-                           const std::vector<std::int32_t>& path_ids) {
-  EmbeddedScript out;
-  for (const std::int32_t id : path_ids) {
-    if (id >= 0 && static_cast<std::uint32_t>(id) < p.vocab_size) {
-      out.path_ids.push_back(id);
+std::vector<PathTableRec> build_path_table(const AttentionModel& model,
+                                           const Matrix& centroids,
+                                           const std::vector<double>& radius,
+                                           std::size_t threads) {
+  const auto d = static_cast<std::size_t>(model.embedding_dim());
+  const std::size_t n_clusters = centroids.rows();
+  std::vector<PathTableRec> table(model.vocab_size());
+  parallel_for_threads(threads, table.size(), [&](std::size_t id) {
+    const std::vector<double> e =
+        model.path_embedding(static_cast<std::int32_t>(id));
+    PathTableRec& rec = table[id];
+    rec.score = dot(e.data(), model.attention_vector().data(), d);
+    if (n_clusters == 0) return;
+    const int c = nearest_centroid_raw(centroids.data().data(), n_clusters, d,
+                                       e.data());
+    const auto cu = static_cast<std::size_t>(c);
+    // Paths far from every cluster belong to none of them.
+    const double dist =
+        std::sqrt(squared_distance(e.data(), centroids.row(cu), d));
+    if (!(radius[cu] > 0 && dist > 4.0 * radius[cu])) rec.cluster = c;
+  });
+  return table;
+}
+
+std::vector<double> PathTableView::cluster_features(
+    const std::vector<std::int32_t>& ids, std::size_t* outside) const {
+  std::vector<double> weights;
+  std::vector<std::int32_t> clusters;
+  weights.reserve(ids.size());
+  clusters.reserve(ids.size());
+  for (const std::int32_t id : ids) {
+    if (id < 0 || static_cast<std::uint32_t>(id) >= size) continue;
+    weights.push_back(recs[id].score);
+    clusters.push_back(recs[id].cluster);
+  }
+  softmax_inplace(weights);
+  std::vector<double> f(n_clusters, 0.0);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (clusters[i] < 0) {
+      ++out;
+      continue;
+    }
+    const auto c = static_cast<std::size_t>(clusters[i]);
+    if (binary) {
+      f[c] = 1.0;  // ablation: occurrence only
+    } else {
+      f[c] += weights[i];
     }
   }
-  const std::size_t n = out.path_ids.size();
-  const std::size_t d = p.dim;
-  out.embeddings = Matrix(n, d);
-  out.weights.resize(n);
-  if (n == 0) return out;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* wrow =
-        p.w + static_cast<std::size_t>(out.path_ids[i]) * d;
-    double* erow = out.embeddings.row(i);
-    for (std::size_t k = 0; k < d; ++k) erow[k] = std::tanh(wrow[k]);
-    out.weights[i] = dot(erow, p.attn, d);
-  }
-  softmax_inplace(out.weights);
-  return out;
+  if (outside != nullptr) *outside = out;
+  return f;
 }
 
 double ForestView::predict_proba(const double* row) const {

@@ -3,11 +3,11 @@
 //
 // Every parameter block here is a borrowed view over flat little-endian
 // arrays — either the training-time std::vector storage or the bytes of a
-// JSRM model artifact. The training classes (AttentionModel, RandomForest,
-// MinMaxScaler) delegate to these kernels over their own storage, so the
-// feature rows a model is trained on and the rows its artifact computes at
-// inference run the same floating-point operations in the same order on the
-// same values.
+// JSRM model artifact. The trainer featurizes through a PathTableView over
+// the table it built, and RandomForest and MinMaxScaler delegate to these
+// kernels over their own storage, so the feature rows a model is trained on
+// and the rows its artifact computes at inference run the same
+// floating-point operations in the same order on the same values.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 namespace jsrev::ml {
 
 /// Numerically-stable softmax, in place. Exposed so the attention trainer
-/// and the embed kernel share one implementation.
+/// and the cluster-feature kernel share one implementation.
 void softmax_inplace(std::vector<double>& v);
 
 /// Index of the nearest centroid among `n` rows of `d` doubles (strictly
@@ -28,21 +28,42 @@ void softmax_inplace(std::vector<double>& v);
 int nearest_centroid_raw(const double* centroids, std::size_t n,
                          std::size_t d, const double* point);
 
-/// Attention-model inference parameters (paper Eq. 1-3) as raw arrays.
-struct AttentionParams {
-  const double* w = nullptr;     // vocab_size x dim embedding matrix
-  const double* attn = nullptr;  // attention vector a, length dim
-  const double* u = nullptr;     // 2 x dim classifier head (unused by embed)
-  const double* bias = nullptr;  // length 2 (unused by embed)
-  std::uint32_t vocab_size = 0;
-  std::uint32_t dim = 0;
+/// One record of a model's per-path table (16 bytes, padding-free): all
+/// that inference needs about vocabulary id i. Paper Eq. 1-2 embed a path
+/// as e = tanh(W[i]) and score it e·a; Section III-D assigns it to its
+/// nearest surviving centroid, or to none beyond four RMS radii. All of it
+/// depends on the id alone, so the trainer computes it once per id.
+struct PathTableRec {
+  double score = 0.0;         // tanh(W[i]) · a
+  std::int32_t cluster = -1;  // nearest surviving centroid; -1 = outside all
+  std::uint32_t pad = 0;      // always zero on disk
 };
+static_assert(sizeof(PathTableRec) == 16, "path record must be packed");
 
-/// Embeds one script's path ids: e_i = tanh(W[id_i]), alpha = softmax(e·a).
-/// Ids outside [0, vocab_size) are skipped. AttentionModel::embed routes
-/// through this kernel.
-EmbeddedScript embed_paths(const AttentionParams& p,
-                           const std::vector<std::int32_t>& path_ids);
+/// The table for every id of `model`'s vocabulary against the surviving
+/// `centroids` (one row each) and their RMS `radius`, fanned out at
+/// `threads` width into disjoint slots. With no centroid every id is
+/// outside (-1).
+std::vector<PathTableRec> build_path_table(const AttentionModel& model,
+                                           const Matrix& centroids,
+                                           const std::vector<double>& radius,
+                                           std::size_t threads);
+
+/// Borrowed view of a per-path table: the one cluster-feature kernel, run
+/// by the trainer over its own table and by ModelView over the artifact's.
+struct PathTableView {
+  const PathTableRec* recs = nullptr;  // one per vocabulary id
+  std::uint32_t size = 0;              // vocabulary size
+  std::uint32_t n_clusters = 0;        // surviving clusters
+  bool binary = false;  // ablation: occurrence instead of attention mass
+
+  /// Cluster-membership features of one script before scaling: softmax over
+  /// its known paths' scores, then each path's weight added to its cluster,
+  /// both in path order. Ids outside [0, size) are skipped; the count of
+  /// known paths outside every cluster lands in `*outside` when non-null.
+  std::vector<double> cluster_features(const std::vector<std::int32_t>& ids,
+                                       std::size_t* outside = nullptr) const;
+};
 
 /// One random-forest node as a fixed-width 32-byte record — the on-disk and
 /// in-memory unit of the artifact's preorder node pool. Child indices are

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -207,6 +208,41 @@ TEST(JsRevealerConfig, SseCurveMonotonicallyDecreasing) {
   ASSERT_EQ(sse.size(), 7u);
   for (std::size_t i = 1; i < sse.size(); ++i) {
     EXPECT_LE(sse[i], sse[i - 1] * 1.05) << "k=" << (2 + i);
+  }
+}
+
+TEST(JsRevealerConfig, ZeroSurvivingClustersClassifiesEveryPathOutside) {
+  // An overlap factor this large makes overlap removal drop every cluster:
+  // the model trains without cluster features, and a mapped view of its
+  // artifact counts every known path as outside all clusters.
+  dataset::GeneratorConfig gc;
+  gc.seed = 15;
+  gc.benign_count = 20;
+  gc.malicious_count = 20;
+  const dataset::Corpus corpus = dataset::generate_corpus(gc);
+
+  Config cfg;
+  cfg.overlap_factor = 1e9;
+  cfg.embed_epochs = 2;
+  cfg.cluster_sample_per_class = 200;
+  JsRevealer det(cfg);
+  det.train(corpus);
+  EXPECT_EQ(det.feature_count(), 0u);
+  EXPECT_EQ(det.clusters_removed(),
+            static_cast<std::size_t>(cfg.k_benign + cfg.k_malicious));
+
+  const std::string path = "core_test_zero_clusters.jsrm";
+  det.save_artifact_file(path);
+  ModelView view;
+  view.map_file(path);
+  std::remove(path.c_str());
+  for (std::size_t i = 0; i < corpus.samples.size(); i += 5) {
+    const std::string& src = corpus.samples[i].source;
+    const obs::VerdictProvenance p = view.explain(src);
+    EXPECT_GT(p.known_path_count, 0u) << i;
+    EXPECT_EQ(p.paths_outside_clusters, p.known_path_count) << i;
+    EXPECT_TRUE(p.cluster_attention.empty()) << i;
+    EXPECT_EQ(p.verdict, det.classify(src)) << i;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "ml/linear_models.h"
 #include "ml/matrix.h"
 #include "ml/metrics.h"
+#include "ml/model_view_ops.h"
 #include "ml/naive_bayes.h"
 #include "ml/outlier.h"
 #include "ml/scaler.h"
@@ -399,38 +400,105 @@ TEST(AttentionModel, LearnsToSeparateByPathIds) {
   EXPECT_LT(model.predict_malicious({5, 6, 7}), 0.5);
 }
 
-TEST(AttentionModel, EmbedSkipsUnknownIds) {
+/// A small trained model's per-path table against one centroid at the
+/// origin; `radius` decides which paths fall outside it.
+std::vector<PathTableRec> one_cluster_table(const AttentionModel& model,
+                                            double radius) {
+  const Matrix origin(1, static_cast<std::size_t>(model.embedding_dim()));
+  return build_path_table(model, origin, {radius}, 1);
+}
+
+PathTableView view_of(const std::vector<PathTableRec>& table,
+                      std::uint32_t n_clusters) {
+  PathTableView v;
+  v.recs = table.data();
+  v.size = static_cast<std::uint32_t>(table.size());
+  v.n_clusters = n_clusters;
+  return v;
+}
+
+TEST(PathTable, SkipsUnknownIds) {
   AttentionModelConfig cfg;
   cfg.embedding_dim = 4;
   cfg.epochs = 1;
   AttentionModel model(cfg);
   model.train({{{0, 1}, 0}, {{2, 3}, 1}}, 4);
-  const EmbeddedScript e = model.embed({0, -1, 99, 2});
-  EXPECT_EQ(e.embeddings.rows(), 2u);
-  EXPECT_EQ(e.path_ids.size(), 2u);
+  const std::vector<PathTableRec> table = one_cluster_table(model, 1e-6);
+  std::size_t outside = 0, outside_known = 0;
+  const PathTableView v = view_of(table, 1);
+  EXPECT_EQ(v.cluster_features({0, -1, 99, 2}, &outside),
+            v.cluster_features({0, 2}, &outside_known));
+  // Every tanh embedding lies beyond four radii of 1e-6 from the origin.
+  EXPECT_EQ(outside, 2u);
+  EXPECT_EQ(outside_known, 2u);
 }
 
-TEST(AttentionModel, WeightsSumToOne) {
+TEST(PathTable, WeightsSumToOne) {
   AttentionModelConfig cfg;
   cfg.embedding_dim = 4;
   cfg.epochs = 2;
   AttentionModel model(cfg);
   model.train({{{0, 1, 2}, 0}, {{3, 4}, 1}}, 5);
-  const EmbeddedScript e = model.embed({0, 1, 2, 3});
-  double sum = 0;
-  for (const double w : e.weights) sum += w;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
+  // Radius 0 marks no path as outside: all attention lands in cluster 0.
+  const std::vector<PathTableRec> table = one_cluster_table(model, 0.0);
+  std::size_t outside = 1;
+  const std::vector<double> f =
+      view_of(table, 1).cluster_features({0, 1, 2, 3}, &outside);
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_NEAR(f[0], 1.0, 1e-9);
+  EXPECT_EQ(outside, 0u);
 }
 
-TEST(AttentionModel, EmptyScriptSafe) {
+TEST(PathTable, EmptyScriptSafe) {
   AttentionModelConfig cfg;
   cfg.embedding_dim = 4;
   cfg.epochs = 1;
   AttentionModel model(cfg);
   model.train({{{0}, 0}, {{1}, 1}}, 2);
-  const EmbeddedScript e = model.embed({});
-  EXPECT_EQ(e.embeddings.rows(), 0u);
+  const std::vector<PathTableRec> table = one_cluster_table(model, 0.0);
+  std::size_t outside = 1;
+  EXPECT_EQ(view_of(table, 1).cluster_features({}, &outside),
+            std::vector<double>(1, 0.0));
+  EXPECT_EQ(outside, 0u);
   EXPECT_EQ(model.predict_malicious({}), 0.5);
+}
+
+TEST(PathTable, RecordsComeFromTheEmbeddingKernels) {
+  AttentionModelConfig cfg;
+  cfg.embedding_dim = 6;
+  cfg.epochs = 3;
+  AttentionModel model(cfg);
+  model.train({{{0, 1, 2}, 0}, {{3, 4, 5}, 1}}, 6);
+  const auto d = static_cast<std::size_t>(cfg.embedding_dim);
+  Matrix centroids(3, d);
+  Rng rng(5);
+  for (double& x : centroids.data()) x = rng.normal() * 0.5;
+  const std::vector<double> radius = {0.0, 0.0, 0.0};
+  const std::vector<PathTableRec> table =
+      build_path_table(model, centroids, radius, 4);
+  ASSERT_EQ(table.size(), 6u);
+  for (std::int32_t id = 0; id < 6; ++id) {
+    const std::vector<double> e = model.path_embedding(id);
+    const PathTableRec& rec = table[static_cast<std::size_t>(id)];
+    EXPECT_EQ(rec.score, dot(e.data(), model.attention_vector().data(), d));
+    EXPECT_EQ(rec.cluster,
+              nearest_centroid_raw(centroids.data().data(), 3, d, e.data()));
+    EXPECT_EQ(rec.pad, 0u);
+  }
+}
+
+TEST(PathTable, NoSurvivingClusterMapsEveryIdOutside) {
+  AttentionModelConfig cfg;
+  cfg.embedding_dim = 4;
+  cfg.epochs = 1;
+  AttentionModel model(cfg);
+  model.train({{{0, 1}, 0}, {{2, 3}, 1}}, 4);
+  const std::vector<PathTableRec> table = build_path_table(
+      model, Matrix(0, static_cast<std::size_t>(cfg.embedding_dim)), {}, 2);
+  for (const PathTableRec& rec : table) EXPECT_EQ(rec.cluster, -1);
+  std::size_t outside = 0;
+  EXPECT_TRUE(view_of(table, 0).cluster_features({0, 1, 3}, &outside).empty());
+  EXPECT_EQ(outside, 3u);
 }
 
 TEST(AttentionModel, EmbeddingsBoundedByTanh) {

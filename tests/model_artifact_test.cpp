@@ -1,14 +1,17 @@
-// Tests for the JSRM v3 model artifact, the only model format: the trainer
+// Tests for the JSRM v4 model artifact, the only model format: the trainer
 // must emit byte-identical artifacts at any parallel width; JsRevealer and a
 // mapped ModelView of its artifact must reproduce the outputs pinned from
 // the former heap inference path over the whole obfuscated evaluation grid;
 // and malformed artifacts must fail with ser::ModelFormatError — never a
-// crash or a silently different verdict.
+// crash or a silently different verdict. Edits that are resealed (payload
+// and header checksums recomputed) must still be rejected when they put an
+// index out of range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -336,6 +339,132 @@ TEST_F(ArtifactFixture, FormatErrorCarriesSectionAndOffset) {
     EXPECT_EQ(e.section(), first.name);
     EXPECT_NE(std::string(e.what()).find(first.name), std::string::npos);
   }
+}
+
+TEST_F(ArtifactFixture, HeaderAndSectionTableBitFlipsThrowModelFormatError) {
+  // The header seal covers every header and section-table byte, including
+  // the flags and path bounds that no payload checksum covers. The trusted
+  // open checks it too.
+  const std::size_t sealed = sizeof(core::fmt::ArtifactHeader) +
+                             core::fmt::kSectionCount *
+                                 sizeof(core::fmt::SectionRec);
+  std::size_t attached = 0;
+  std::size_t first_bit = 0;
+  for (std::size_t bit = 0; bit < sealed * 8; ++bit) {
+    std::vector<std::uint8_t> bytes = *artifact_;
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    core::ModelView view;
+    try {
+      view.from_buffer(std::move(bytes), /*verify_checksums=*/false);
+      if (attached++ == 0) first_bit = bit;
+    } catch (const ser::ModelFormatError&) {
+    }
+  }
+  EXPECT_EQ(attached, 0u) << "first at byte " << first_bit / 8 << " bit "
+                          << first_bit % 8;
+}
+
+/// Section `id`'s table row in the artifact `view` is attached to.
+core::fmt::SectionRec section(const core::ModelView& view,
+                              core::fmt::SectionId id) {
+  return view.info().sections[static_cast<std::size_t>(id) - 1].rec;
+}
+
+/// Rewrites record `i` of the section `rec` locates in `bytes` through
+/// `edit`.
+template <typename T, typename Edit>
+void edit_record(std::vector<std::uint8_t>& bytes,
+                 const core::fmt::SectionRec& rec, std::size_t i, Edit edit) {
+  std::uint8_t* at = bytes.data() + rec.offset + i * sizeof(T);
+  T r;
+  std::memcpy(&r, at, sizeof(T));
+  edit(r);
+  std::memcpy(at, &r, sizeof(T));
+}
+
+/// Reseals `bytes` and reports whether a trusted and a verified attach
+/// accept it (both must agree).
+bool reseal_and_attach(std::vector<std::uint8_t> bytes) {
+  core::fmt::seal(bytes.data());
+  bool accepted[2] = {true, true};
+  for (const bool verify : {false, true}) {
+    core::ModelView view;
+    try {
+      view.from_buffer(bytes, verify);
+    } catch (const ser::ModelFormatError&) {
+      accepted[verify] = false;
+    }
+  }
+  EXPECT_EQ(accepted[0], accepted[1]);
+  return accepted[1];
+}
+
+TEST_F(ArtifactFixture, ResealedUnknownFlagOrReservedFieldIsRejected) {
+  ASSERT_TRUE(reseal_and_attach(*artifact_));  // control: sealing is exact
+  core::fmt::ArtifactHeader hdr;
+  std::memcpy(&hdr, artifact_->data(), sizeof(hdr));
+  for (int field = 0; field < 2; ++field) {
+    core::fmt::ArtifactHeader bad = hdr;
+    if (field == 0) bad.flags |= 1u << 3;
+    if (field == 1) bad.reserved0 = 1;
+    std::vector<std::uint8_t> bytes = *artifact_;
+    std::memcpy(bytes.data(), &bad, sizeof(bad));
+    EXPECT_FALSE(reseal_and_attach(std::move(bytes))) << "field " << field;
+  }
+}
+
+TEST_F(ArtifactFixture, ResealedFullProbeTableIsRejected) {
+  // With no empty probe slot, a lookup of an unknown path would never end.
+  const core::fmt::SectionRec slots =
+      section(*view_, core::fmt::SectionId::kVocabTable);
+  const std::size_t n_slots = slots.size / sizeof(std::uint32_t);
+  ASSERT_GT(n_slots, view_->vocab_size());
+  std::vector<std::uint8_t> bytes = *artifact_;
+  for (std::size_t s = 0; s < n_slots; ++s) {
+    edit_record<std::uint32_t>(bytes, slots, s, [](std::uint32_t& slot) {
+      if (slot == 0) slot = 1;
+    });
+  }
+  EXPECT_FALSE(reseal_and_attach(std::move(bytes)));
+}
+
+TEST_F(ArtifactFixture, ResealedOutOfRangePathRecordIsRejected) {
+  const core::fmt::SectionRec table =
+      section(*view_, core::fmt::SectionId::kPathTable);
+  ASSERT_EQ(table.size / sizeof(ml::PathTableRec), view_->vocab_size());
+  const std::int32_t feature_dim =
+      static_cast<std::int32_t>(view_->info().header.feature_dim);
+  ASSERT_GT(feature_dim, 0);
+  struct Edit {
+    std::int32_t cluster;
+    std::uint32_t pad;
+    bool valid;
+  };
+  for (const Edit edit : {Edit{-1, 0, true}, Edit{feature_dim - 1, 0, true},
+                          Edit{feature_dim, 0, false}, Edit{-2, 0, false},
+                          Edit{0, 1, false}}) {
+    std::vector<std::uint8_t> bytes = *artifact_;
+    edit_record<ml::PathTableRec>(bytes, table, view_->vocab_size() / 2,
+                                  [edit](ml::PathTableRec& r) {
+                                    r.cluster = edit.cluster;
+                                    r.pad = edit.pad;
+                                  });
+    EXPECT_EQ(reseal_and_attach(std::move(bytes)), edit.valid)
+        << "cluster " << edit.cluster << " pad " << edit.pad;
+  }
+}
+
+TEST_F(ArtifactFixture, ResealedForestCycleIsRejected) {
+  // A child index at or before its node could loop the forest walk.
+  const core::fmt::SectionRec nodes =
+      section(*view_, core::fmt::SectionId::kForestNodes);
+  ASSERT_GT(nodes.size, 0u);
+  std::vector<std::uint8_t> bytes = *artifact_;
+  edit_record<ml::ForestNodeRec>(bytes, nodes, 0, [](ml::ForestNodeRec& n) {
+    ASSERT_GE(n.feature, 0);  // the first tree's root splits
+    n.right = 0;
+  });
+  EXPECT_FALSE(reseal_and_attach(std::move(bytes)));
 }
 
 TEST(ModelViewApi, UnloadedViewIsSafe) {

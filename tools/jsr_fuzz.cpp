@@ -25,7 +25,12 @@
 //      ModelView::from_buffer — never a crash — and a mutant that still
 //      loads (mutation landed in padding) must classify probe scripts
 //      exactly like the pristine artifact, never silently differently.
-//      Runs once up front, like the O5 verdict sweep.
+//      Resealed mutants — one payload bit flipped, then the section and
+//      header checksums recomputed so the flip reaches the per-record
+//      checks — must either raise ModelFormatError or load and featurize +
+//      classify every probe with no crash and no exception (the verdict may
+//      change: the parameters did). Runs once up front, like the O5
+//      verdict sweep.
 //
 // Usage:
 //   $ jsr_fuzz --seed 1 --iters 2000            # CI smoke configuration
@@ -270,7 +275,9 @@ void run_verdict_sweep(const Options& opt, Stats& stats) {
 /// ModelView::from_buffer to either reject it with ser::ModelFormatError or
 /// keep classifying exactly like the pristine artifact (a mutation that only
 /// touches alignment padding changes nothing observable). Any other
-/// exception, a crash, or a silent verdict change is a finding.
+/// exception, a crash, or a silent verdict change is a finding. A resealed
+/// mutant that loads may change verdicts but must featurize and classify
+/// every probe without an exception.
 void run_artifact_sweep(const Options& opt, Stats& stats) {
   dataset::GeneratorConfig gc;
   gc.seed = opt.seed ^ 0xa271f0ULL;
@@ -321,9 +328,14 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
     }
   }
 
+  std::vector<core::fmt::SectionRec> payloads;
+  for (const core::ArtifactSectionInfo& s : detector.info().sections) {
+    if (s.rec.size != 0) payloads.push_back(s.rec);
+  }
+
   Rng rng(opt.seed ^ 0x6a57ULL);
   const auto check_mutant = [&](std::vector<std::uint8_t> mutant,
-                                const char* what) {
+                                const char* what, bool resealed) {
     ++stats.o6_checked;
     core::ModelView view;
     try {
@@ -337,9 +349,21 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
                      "<artifact>");
       return;
     }
-    // Still loads: the mutation must be behaviorally invisible.
+    // Still loads: an unsealed mutation must be behaviorally invisible, a
+    // resealed one must still featurize and classify every probe.
     for (std::size_t i = 0; i < probes.samples.size(); ++i) {
-      if (view.classify(probes.samples[i].source) != baseline[i]) {
+      int verdict = 1;
+      try {
+        (void)view.featurize(probes.samples[i].source);
+        verdict = view.classify(probes.samples[i].source);
+      } catch (const std::exception& e) {
+        report_failure(stats, "O6-artifact",
+                       std::string(what) + " loaded but probe " +
+                           std::to_string(i) + " raised: " + e.what(),
+                       probes.samples[i].source);
+        return;
+      }
+      if (!resealed && verdict != baseline[i]) {
         report_failure(stats, "O6-artifact",
                        std::string(what) +
                            " loaded but silently changed the verdict of "
@@ -355,13 +379,22 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
     // Truncation (mid-transfer cutoff): every prefix length is fair game.
     std::vector<std::uint8_t> cut = artifact;
     cut.resize(rng.below(artifact.size()));
-    check_mutant(std::move(cut), "truncation");
+    check_mutant(std::move(cut), "truncation", false);
 
     // Single bit flip anywhere in the file.
     std::vector<std::uint8_t> flipped = artifact;
     const std::size_t at = rng.below(flipped.size());
     flipped[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
-    check_mutant(std::move(flipped), "bit flip");
+    check_mutant(std::move(flipped), "bit flip", false);
+
+    // Single bit flip in one non-empty section's payload, resealed.
+    const core::fmt::SectionRec& rec =
+        payloads[rng.below(payloads.size())];
+    std::vector<std::uint8_t> resealed = artifact;
+    resealed[rec.offset + rng.below(rec.size)] ^=
+        static_cast<std::uint8_t>(1u << rng.below(8));
+    core::fmt::seal(resealed.data());
+    check_mutant(std::move(resealed), "resealed payload bit flip", true);
   }
 }
 

@@ -1,4 +1,4 @@
-// jsr_model: model-artifact lifecycle CLI for the JSRM v3 format.
+// jsr_model: model-artifact lifecycle CLI for the JSRM v4 format.
 //
 // Subcommands:
 //   train --out M.jsrm [--scripts N] [--seed N] [--threads N] [--lint]

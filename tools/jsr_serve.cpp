@@ -8,7 +8,7 @@
 //   jsr_serve --model M.jsrm --stdio [--threads N] [--max-batch N]
 //             [--max-queue N]
 //
-// The model is a JSRM v3 artifact, mapped read-only (zero-copy; `jsr_model
+// The model is a JSRM v4 artifact, mapped read-only (zero-copy; `jsr_model
 // train --out` writes one). Parse limits and the deobfuscate flag come from
 // the model, so the daemon classifies exactly like `jsr_model classify`.
 //
