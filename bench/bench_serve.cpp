@@ -1,4 +1,5 @@
-// Measures the jsr_serve daemon stack end to end — framing, batching, the
+// Measures the jsr_serve daemon stack end to end — framing, request
+// dispatch on the worker threads, per-connection response order, the
 // connection layer — against the in-process library path, and hard-gates
 // what must never regress: daemon verdicts bit-identical to library
 // verdicts for every script.

@@ -111,8 +111,11 @@ echo "jsr_model: artifacts trained at widths 1 and 4 are byte-identical"
 
 # Serving smoke: the artifact trained above, served end to end through the
 # jsr_serve daemon in --stdio mode. Three probes:
-#   1. verdict parity — the daemon's verdicts for the sample scripts must
-#      match `jsr_model classify` over the same model, byte for byte,
+#   1. verdict parity and order — the daemon's verdicts for the sample
+#      scripts must match `jsr_model classify` over the same model, byte for
+#      byte, and come back with ids 1..N in request order (dropper.js goes
+#      first, so at the default width the short scripts behind it finish
+#      before it does),
 #   2. failure containment — garbage on the wire must draw an error frame
 #      and a clean exit 0, never a crash or sanitizer report,
 #   3. graceful drain — a QUIT frame after the classifies still answers
@@ -123,10 +126,16 @@ rm -rf "${serve_in}" && mkdir -p "${serve_in}"
 cp examples/samples/dropper.js "${serve_in}/dropper.js"
 printf 'var x = 1 + 2;\nconsole.log(x);\n' > "${serve_in}/benign.js"
 printf 'function broken( {\n' > "${serve_in}/broken.js"
-serve_files=("${serve_in}/benign.js" "${serve_in}/dropper.js" "${serve_in}/broken.js")
+serve_files=("${serve_in}/dropper.js" "${serve_in}/benign.js" "${serve_in}/broken.js")
 "${BUILD_DIR}/tools/jsr_serve" --encode "${serve_files[@]}" --quit \
     | "${BUILD_DIR}/tools/jsr_serve" --model "${BUILD_DIR}/check_model.jsrm" --stdio \
     | "${BUILD_DIR}/tools/jsr_serve" --decode > "${BUILD_DIR}/serve_smoke.out"
+daemon_ids="$(awk -F'\t' '$2 ~ /^[01]$/ { print $1 }' "${BUILD_DIR}/serve_smoke.out")"
+if [ "${daemon_ids}" != "$(seq 1 "${#serve_files[@]}")" ]; then
+  echo "jsr_serve smoke FAILED: verdict ids not 1..${#serve_files[@]} in order" >&2
+  echo "ids: ${daemon_ids}" >&2
+  exit 1
+fi
 daemon_verdicts="$(awk -F'\t' '$2 ~ /^[01]$/ { print $2 }' "${BUILD_DIR}/serve_smoke.out")"
 library_verdicts="$("${BUILD_DIR}/tools/jsr_model" classify \
     "${BUILD_DIR}/check_model.jsrm" "${serve_files[@]}" | cut -f1)"
@@ -138,7 +147,7 @@ if [ "${daemon_verdicts}" != "${library_verdicts}" ]; then
 fi
 grep -q 'BYE' "${BUILD_DIR}/serve_smoke.out" \
     || { echo "jsr_serve smoke FAILED: no BYE after QUIT drain" >&2; exit 1; }
-echo "jsr_serve: daemon verdicts match jsr_model classify; QUIT drained"
+echo "jsr_serve: daemon verdicts match jsr_model classify, in request order; QUIT drained"
 # Deterministic malformed-frame sweep: plain garbage, a truncated header,
 # and an oversized length field — the daemon must answer with an error
 # frame (or wait out the truncation) and exit 0 on every one.
@@ -186,8 +195,8 @@ if command -v python3 > /dev/null; then
   echo "admin /statusz is valid JSON"
 fi
 # One CLASSIFY frame for the dropper sample before the scrape: the daemon
-# books each request's stages into stage_ms{stage}, which /metrics renders
-# as jsr_stage_seconds.
+# books each request's stages, its queue wait included, into
+# stage_ms{stage}, which /metrics renders as jsr_stage_seconds.
 if command -v python3 > /dev/null; then
   python3 - "${admin_sock}" examples/samples/dropper.js <<'PY'
 import socket, struct, sys
@@ -215,8 +224,11 @@ grep -q '^jsr_model_info{' "${BUILD_DIR}/admin_metrics.prom" \
     || { echo "admin smoke FAILED: jsr_model_info gauge missing" >&2; exit 1; }
 if command -v python3 > /dev/null; then
   awk '$1 == "jsr_stage_seconds_count{stage=\"path_traversal\"}" && $2 >= 1 {
-         found = 1 } END { exit !found }' "${BUILD_DIR}/admin_metrics.prom" \
-      || { echo "admin smoke FAILED: no path_traversal stage sample" >&2
+         traversal = 1 }
+       $1 == "jsr_stage_seconds_count{stage=\"queue\"}" && $2 >= 1 {
+         queue = 1 }
+       END { exit !(traversal && queue) }' "${BUILD_DIR}/admin_metrics.prom" \
+      || { echo "admin smoke FAILED: no path_traversal or queue stage sample" >&2
            kill "${admin_pid}" 2> /dev/null || true; exit 1; }
   echo "admin /metrics exports the daemon's per-request stage series"
 fi
@@ -256,7 +268,7 @@ wait "${admin_pid}"
 echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"
 
 # Serving bench at smoke scale: one repeat, tiny corpus — the point under
-# sanitizers is memory safety across the socketpair + framing + batching
+# sanitizers is memory safety across the socketpair + framing + dispatch
 # stack plus the always-on hard gate (daemon verdicts bit-identical to the
 # library) and a schema-valid BENCH_serve.json.
 echo "== bench_serve smoke (ASan+UBSan)"

@@ -74,6 +74,7 @@ void ScriptAnalysis::ensure_parsed() const {
     static obs::Counter* limit_counter =
         obs::metrics().counter("analysis.parse.limit_trips");
     static obs::Summary* parse_stage = obs::stage_summary("parse");
+    static obs::Summary* deob_stage = obs::stage_summary("deob");
     Timer t;
     try {
       ast_ = js::parse(source_, limits_);
@@ -84,9 +85,15 @@ void ScriptAnalysis::ensure_parsed() const {
       fail_counter->add();
       if (is_limit_error(parse_error_)) limit_counter->add();
     }
-    if (parse_ok_ && deobfuscate_) normalize();
     parse_ms_ = t.elapsed_ms();
-    if (parse_ok_) parse_stage->observe(parse_ms_);
+    if (!parse_ok_) return;
+    parse_stage->observe(parse_ms_);
+    if (deobfuscate_) {
+      Timer t_deob;
+      normalize();
+      deob_ms_ = t_deob.elapsed_ms();
+      deob_stage->observe(deob_ms_);
+    }
   });
   MemoCounters& memo = parse_memo();
   (computed ? memo.miss : memo.hit)->add();
@@ -148,6 +155,11 @@ const js::Node* ScriptAnalysis::root() const {
 double ScriptAnalysis::parse_ms() const {
   ensure_parsed();
   return parse_ms_;
+}
+
+double ScriptAnalysis::deob_ms() const {
+  ensure_parsed();
+  return deob_ms_;
 }
 
 void ScriptAnalysis::enable_provenance() {

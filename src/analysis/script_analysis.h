@@ -79,6 +79,10 @@ class ScriptAnalysis {
   /// A successful parse books this once into obs::stage_summary("parse"),
   /// when it runs, so re-reading a warm analysis never books it again.
   double parse_ms() const;
+  /// Wall-clock cost of normalize() (deob passes, print, reparse) under
+  /// `deobfuscate`, booked once into obs::stage_summary("deob"); 0.0 when
+  /// deob is off or the script does not parse.
+  double deob_ms() const;
 
   /// True when the parse failure came from a ParseLimits bound (depth,
   /// source bytes, token count) rather than malformed syntax.
@@ -126,6 +130,7 @@ class ScriptAnalysis {
   mutable bool parse_ok_ = false;
   mutable std::string parse_error_;
   mutable double parse_ms_ = 0.0;
+  mutable double deob_ms_ = 0.0;
   std::unique_ptr<obs::VerdictProvenance> provenance_;
 
   mutable std::once_flag tokens_once_;

@@ -401,9 +401,10 @@ std::vector<double> ModelView::featurize(
   }
   obs::StageDurationsMs ms;
   const auto pcs = extract(analysis, path_cfg_, &ms);
-  // The parse was booked when it ran (ScriptAnalysis); provenance still
-  // reports its cost.
+  // The parse and deob were booked when they ran (ScriptAnalysis);
+  // provenance still reports their cost.
   ms.parse = analysis.parse_ms();
+  ms.deob = analysis.deob_ms();
 
   // The four table-lookup steps, all booked as the embedding stage: probe
   // the vocabulary, then read, softmax and accumulate the path records.

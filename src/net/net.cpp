@@ -1,6 +1,7 @@
 #include "net/net.h"
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
@@ -85,13 +86,31 @@ std::uint16_t parse_port(std::string_view text) {
 }  // namespace
 
 bool write_all(int fd, std::string_view data) {
+  using Clock = std::chrono::steady_clock;
   while (!data.empty()) {
+    const Clock::time_point start = Clock::now();
     const ssize_t n = ::write(fd, data.data(), data.size());
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     data.remove_prefix(static_cast<std::size_t>(n));
+    // A write that sent part of the data and then waited out the send
+    // timeout returns short instead of failing; retrying would wait a
+    // second timeout on the same stalled peer. (A signal also cuts a write
+    // short; one that lands half a timeout into a write ends it the same
+    // way.)
+    timeval tv{};
+    socklen_t len = sizeof(tv);
+    if (!data.empty() &&
+        ::getsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, &len) == 0 &&
+        (tv.tv_sec != 0 || tv.tv_usec != 0) &&
+        2 * (Clock::now() - start) >=
+            std::chrono::seconds(tv.tv_sec) +
+                std::chrono::microseconds(tv.tv_usec)) {
+      errno = EAGAIN;
+      return false;
+    }
   }
   return true;
 }

@@ -47,7 +47,8 @@ inline constexpr std::size_t kMaxConnections = 256;
 
 /// Writes all of `data` to `fd`, retrying on EINTR and partial writes.
 /// Returns false on any error with errno set; EAGAIN/EWOULDBLOCK means the
-/// socket's send timeout expired.
+/// socket's send timeout expired, once: a peer that takes nothing fails the
+/// write one timeout after it blocks, even when part of the data went out.
 bool write_all(int fd, std::string_view data);
 
 /// Connects a stream socket to `endpoint`: "HOST:PORT" (dotted-quad IPv4;

@@ -9,7 +9,8 @@
 //
 // Mapping rules (documented in DESIGN.md §16):
 //  * names: "jsr_" + the registry name with every character outside
-//    [a-zA-Z0-9_] replaced by '_' (so "serve.stage_ms" → "jsr_serve_stage_ms")
+//    [a-zA-Z0-9_] replaced by '_' (so "serve.latency_ms" →
+//    "jsr_serve_latency_ms")
 //  * Unit::kMillis metrics convert to Prometheus base seconds: a trailing
 //    "_ms" is stripped, "_seconds" appended, and every value (sum, bounds)
 //    scaled by 1e-3

@@ -48,7 +48,9 @@ std::string VerdictProvenance::to_json() const {
   w.end_array();
   w.key("stage_ms");
   w.begin_object();
+  w.kv("queue", stage_ms.queue);
   w.kv("parse", stage_ms.parse);
+  w.kv("deob", stage_ms.deob);
   w.kv("enhanced_ast", stage_ms.enhanced_ast);
   w.kv("path_traversal", stage_ms.path_traversal);
   w.kv("embedding", stage_ms.embedding);

@@ -21,7 +21,9 @@ class Summary;
 
 /// Per-stage durations of one script's classification (milliseconds).
 struct StageDurationsMs {
+  double queue = 0.0;           // daemon queue wait (enqueue → start)
   double parse = 0.0;
+  double deob = 0.0;            // deob passes + print + reparse
   double enhanced_ast = 0.0;    // scope + data-flow augmentation
   double path_traversal = 0.0;  // path-context enumeration
   double embedding = 0.0;
@@ -31,12 +33,12 @@ struct StageDurationsMs {
 
 /// The registry summary `stage_ms{stage=<stage>}` (kMillis): the one
 /// per-stage timing series. Each stage books one sample where its work runs:
-/// `parse` in ScriptAnalysis, `enhanced_ast`, `path_traversal`, `embedding`,
-/// `lint` and `classify` in ModelView's inference body, and the training
-/// stages (`pretraining`, `outlier`, `clustering`, `classifier_train`) in
-/// JsRevealer::train. Table VIII, `jsr_stats --metrics/--prom`, the STATS
-/// frame and `/metrics` all read it. Takes the registry mutex: hot call
-/// sites cache the pointer.
+/// `queue` in the serving Batcher, `parse` and `deob` in ScriptAnalysis,
+/// `enhanced_ast`, `path_traversal`, `embedding`, `lint` and `classify` in
+/// ModelView's inference body, and the training stages (`pretraining`,
+/// `outlier`, `clustering`, `classifier_train`) in JsRevealer::train.
+/// Table VIII, `jsr_stats --metrics/--prom`, the STATS frame and `/metrics`
+/// all read it. Takes the registry mutex: hot call sites cache the pointer.
 Summary* stage_summary(const char* stage);
 
 /// Attention mass a script deposited on one surviving cluster feature.

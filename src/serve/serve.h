@@ -1,52 +1,47 @@
-// Batching classification core of the jsr_serve daemon.
+// Request-level classification core of the jsr_serve daemon.
 //
 // Deliberately free of socket code so tests and benches drive it in-process
 // (the fd plumbing lives in serve/server.h). The model is a core::ModelView
 // over a mapped JSRM artifact; parse limits and the deobfuscate flag come
 // from it, so daemon verdicts are bit-identical to the view's classify().
 //
-//  * Batcher — the CASCADE-shaped serving loop: producers enqueue requests,
-//    one worker coalesces whatever is pending (capped at max_batch) and runs
-//    the batch through the analyze_corpus idiom — parallel ScriptAnalysis
-//    warm-up, then parallel classification on the shared ThreadPool — so a
-//    burst of N scripts costs one fan-out, not N wake-ups. Batching policy
-//    is greedy: a batch launches as soon as the worker is free and the queue
-//    is non-empty; no artificial accumulation window is ever inserted, so an
-//    idle daemon answers a lone request at single-script latency.
+//  * Batcher — a bounded FIFO served by `threads` dedicated workers (not
+//    the shared ThreadPool, whose wait_idle would then wait on daemon
+//    traffic). Each worker pops one request and runs it start to finish:
+//    ScriptAnalysis, classify, provenance, completion. A verdict depends on
+//    its own script only, so a request waits for nothing but its turn.
 //
 //  * Admission control — js::ParseLimits is the contract: max_source_bytes
 //    bounds accepted payloads (the server rejects larger frames before they
 //    buffer), and depth/token bombs inside accepted scripts surface as the
 //    ordinary unparseable ⇒ malicious verdict. The bounded queue
-//    (max_queue) converts overload into immediate rejected=true responses
+//    (max_queue) converts overload into immediate "queue full" responses
 //    instead of unbounded memory growth.
 //
 // Telemetry lands in the process-wide obs registry: serve.requests,
-// serve.batch_size, serve.queue_depth, serve.rejected, per-stage
-// serve.stage_ms{stage=analyze|classify} and end-to-end serve.latency_ms
-// histograms — drainable over the wire via the STATS control frame.
+// serve.queue_depth, serve.rejected, end-to-end serve.latency_ms and the
+// queue wait as stage_ms{stage=queue} — drainable via the STATS frame.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/model_view.h"
 #include "obs/metrics.h"
+#include "util/timer.h"
 
 namespace jsrev::serve {
 
 struct ServeOptions {
-  /// Parallel width inside one batch (0 = hardware concurrency).
+  /// Worker threads, each running one request at a time (0 = hardware
+  /// concurrency).
   std::size_t threads = 0;
-  /// Most requests coalesced into one batch.
-  std::size_t max_batch = 64;
   /// Queue capacity; submissions beyond it are rejected immediately.
   std::size_t max_queue = 4096;
   /// Requests whose enqueue→completion latency reaches this many
@@ -74,24 +69,24 @@ struct ServeResponse {
   int verdict = -1;
   /// The script did not parse; verdict is the unparseable convention.
   bool parse_failed = false;
-  /// Admission control turned the request away (queue full or draining);
-  /// `error` carries the reason and no classification ran.
-  bool rejected = false;
+  /// Why no verdict was produced: admission control's reason ("queue full",
+  /// "draining") or the failure that stopped this request's classification.
+  /// Empty when `verdict` is set.
   std::string error;
   /// Provenance JSON when the request asked for it.
   std::string provenance_json;
 };
 
-/// Coalesces concurrent classification requests into parallel batches.
+/// Runs classification requests from a bounded FIFO on its worker threads.
 /// Thread-safe: any number of producer threads may submit concurrently.
 class Batcher {
  public:
-  /// `done` callbacks run on the batch worker thread (rejections run on the
-  /// submitting thread); they must not block for long and must not call
-  /// back into submit().
+  /// `done` callbacks run on a worker thread, in completion order
+  /// (rejections run on the submitting thread); they must not block for
+  /// long and must not call back into submit().
   using Completion = std::function<void(ServeResponse)>;
 
-  /// Starts the worker. `model` must outlive the Batcher.
+  /// Starts the workers. `model` must outlive the Batcher.
   Batcher(const core::ModelView& model, ServeOptions opts);
   ~Batcher();
 
@@ -99,14 +94,14 @@ class Batcher {
   Batcher& operator=(const Batcher&) = delete;
 
   /// Enqueues one request. On admission failure `done` fires inline with
-  /// rejected=true.
+  /// the reason in `error`.
   void submit(ServeRequest req, Completion done);
 
   /// Blocks until every accepted request has completed.
   void drain();
 
-  /// Drains accepted work, then stops the worker. Idempotent; subsequent
-  /// submissions are rejected with "draining".
+  /// Drains accepted work, then stops and joins the workers. Idempotent;
+  /// subsequent submissions are rejected with "draining".
   void shutdown();
 
   std::size_t queue_depth() const;
@@ -115,16 +110,16 @@ class Batcher {
   struct Pending {
     ServeRequest req;
     Completion done;
-    // Enqueue stamp; serve.latency_ms = completion - enqueue, so queue wait
-    // under overload is part of the reported latency, not hidden by it.
-    std::chrono::steady_clock::time_point enqueued;
+    // Started at enqueue; serve.latency_ms = completion - enqueue, so queue
+    // wait under overload is part of the reported latency, not hidden by it.
+    Timer queued;
     // Tracer timestamp at enqueue, when tracing was live then; -1 otherwise.
-    // Lets run_batch emit a "req N queue" span covering the coalescing wait.
+    // Lets run() emit a "req N queue" span covering the queue wait.
     std::int64_t trace_enqueue_us = -1;
   };
 
   void worker_loop();
-  void run_batch(std::vector<Pending> batch);
+  void run(Pending p);
 
   const core::ModelView& model_;
   const ServeOptions opts_;
@@ -135,17 +130,17 @@ class Batcher {
   std::deque<Pending> queue_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
-  std::thread worker_;
 
   // Cold-path-created, hot-path-cached metric handles.
   obs::Counter* requests_ = nullptr;
   obs::Counter* rejected_full_ = nullptr;
   obs::Counter* rejected_draining_ = nullptr;
+  obs::Counter* internal_errors_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Histogram* batch_size_ = nullptr;
-  obs::Histogram* stage_analyze_ms_ = nullptr;
-  obs::Histogram* stage_classify_ms_ = nullptr;
+  obs::Summary* queue_stage_ = nullptr;
   obs::Histogram* latency_ms_ = nullptr;
+
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace jsrev::serve

@@ -12,38 +12,48 @@
 #include <unistd.h>
 
 namespace jsrev::serve {
+namespace {
 
-void Server::Conn::add_pending() {
-  std::lock_guard<std::mutex> lock(pending_mu);
-  ++pending;
+Frame error_frame(std::uint32_t id, std::string reason) {
+  return Frame{FrameType::kError, /*flags=*/0, id, std::move(reason)};
 }
 
-void Server::Conn::sub_pending() {
-  {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    --pending;
-    if (pending != 0) return;
-  }
-  pending_cv.notify_all();
+}  // namespace
+
+std::uint64_t Server::Conn::reserve() {
+  std::lock_guard<std::mutex> lock(mu);
+  slots.emplace_back();
+  return front_seq + slots.size() - 1;
+}
+
+void Server::Conn::wait_for_room() {
+  std::unique_lock<std::mutex> lock(mu);
+  unsent_cv.wait(lock, [this] {
+    return slots.size() < kMaxUnsent && unsent_bytes < kMaxUnsentBytes;
+  });
 }
 
 void Server::Conn::wait_idle() {
-  std::unique_lock<std::mutex> lock(pending_mu);
-  pending_cv.wait(lock, [this] { return pending == 0; });
+  std::unique_lock<std::mutex> lock(mu);
+  unsent_cv.wait(lock, [this] { return slots.empty() && !flushing; });
+}
+
+void Server::Conn::close() {
+  std::unique_lock<std::mutex> lock(mu);
+  unsent_cv.wait(lock, [this] { return !flushing; });
+  open = false;
 }
 
 Server::Server(const core::ModelView& model, ServeOptions opts)
     : max_payload_(model.parse_limits().max_source_bytes),
       batcher_(model, opts) {
-  connections_ = obs::metrics().counter("serve.connections");
-  rejected_connections_ = obs::metrics().counter(
+  auto& reg = obs::metrics();
+  connections_ = reg.counter("serve.connections");
+  rejected_connections_ = reg.counter(
       "serve.rejected", {{"reason", "connections"}}, obs::kScheduleDependent);
-  frame_errors_ = obs::metrics().counter("serve.errors",
-                                         {{"kind", "frame"}});
-  timeout_errors_ = obs::metrics().counter("serve.errors",
-                                           {{"kind", "timeout"}});
-  internal_errors_ = obs::metrics().counter("serve.errors",
-                                            {{"kind", "internal"}});
+  frame_errors_ = reg.counter("serve.errors", {{"kind", "frame"}});
+  timeout_errors_ = reg.counter("serve.errors", {{"kind", "timeout"}});
+  internal_errors_ = reg.counter("serve.errors", {{"kind", "internal"}});
 }
 
 Server::~Server() {
@@ -68,10 +78,8 @@ void Server::run() {
         // Over the connection cap: one error frame, sent without blocking
         // the accept thread; the listener closes the socket.
         rejected_connections_->add();
-        Frame err;
-        err.type = FrameType::kError;
-        err.payload = "too many connections";
-        const std::string bytes = encode_frame(err);
+        const std::string bytes =
+            encode_frame(error_frame(0, "too many connections"));
         ::send(fd, bytes.data(), bytes.size(), MSG_DONTWAIT);
       });
   batcher_.drain();
@@ -92,7 +100,9 @@ void Server::serve_fd(int in_fd, int out_fd) {
     obs::LogRecord(obs::LogLevel::kError, "serve.conn_thread_error")
         .kv("what", e.what());
   }
-  conn->open.store(false, std::memory_order_relaxed);
+  // The caller closes the fd next, and after an exception this connection's
+  // requests may still be running: none of them may write to a reused fd.
+  conn->close();
   if (quit) request_shutdown();
 }
 
@@ -121,11 +131,7 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
         static obs::LogRateLimit rl(/*per_sec=*/2.0, /*burst=*/10.0);
         obs::LogRecord(obs::LogLevel::kWarn, "serve.frame_timeout", rl)
             .kv("request_id", partial_id);
-        Frame err;
-        err.type = FrameType::kError;
-        err.id = partial_id;
-        err.payload = "frame timed out";
-        write_frame(conn, err);
+        respond(*conn, error_frame(partial_id, "frame timed out"));
         break;
       }
       timeout_ms = static_cast<int>(left.count());
@@ -143,12 +149,11 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
     const ssize_t n = ::read(conn->in_fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or hard error
-    const Clock::time_point read_at = Clock::now();
     // Compact once per read (not once per frame): pipelined small frames
     // would otherwise memmove the rest of the buffer for every frame.
     buf.erase(0, off);
     off = 0;
-    if (buf.empty()) frame_start = read_at;
+    if (buf.empty()) frame_start = Clock::now();
     buf.append(chunk, static_cast<std::size_t>(n));
 
     while (off < buf.size()) {
@@ -170,34 +175,29 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
         obs::LogRecord(obs::LogLevel::kWarn, "serve.frame_error", rl)
             .kv("request_id", frame.id)
             .kv("reason", decode_status_name(st));
-        Frame err;
-        err.type = FrameType::kError;
-        err.id = frame.id;  // header id when it was readable, else 0
-        err.payload = std::string("malformed frame: ") +
-                      std::string(decode_status_name(st));
-        write_frame(conn, err);
+        // The header id when it was readable, else 0.
+        respond(*conn, error_frame(frame.id,
+                                   std::string("malformed frame: ") +
+                                       std::string(decode_status_name(st))));
         reading = false;
         break;
       }
       off += consumed;
-      frame_start = read_at;  // any next frame began in this read
+      // Per frame, not per read: one read can hold thousands of STATS.
+      conn->wait_for_room();
       const std::uint32_t frame_id = frame.id;
       Disposition d;
       try {
         d = handle_frame(conn, std::move(frame));
       } catch (const std::exception& e) {
-        // An unexpected serving-path failure used to close the connection
-        // silently; now it answers, counts, and logs with the request id so
-        // the client-side timeout has a server-side record to join against.
+        // Answered, counted and logged with the request id, so the client's
+        // ERROR has a server-side record to join against.
         internal_errors_->add();
         obs::LogRecord(obs::LogLevel::kError, "serve.internal_error")
             .kv("request_id", frame_id)
             .kv("what", e.what());
-        Frame err;
-        err.type = FrameType::kError;
-        err.id = frame_id;
-        err.payload = std::string("internal error: ") + e.what();
-        write_frame(conn, err);
+        respond(*conn, error_frame(frame_id,
+                                   std::string("internal error: ") + e.what()));
         d = Disposition::kClose;
       }
       if (d == Disposition::kClose) {
@@ -209,21 +209,21 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
         reading = false;
         break;
       }
+      // Any next frame began in this read; the time spent on this one was
+      // the daemon's, so the next one's deadline starts now.
+      frame_start = Clock::now();
     }
   }
 
   if (quit) {
     // Graceful daemon drain: every accepted request (all connections)
-    // completes and this connection's responses flush before kBye.
+    // completes first, and kBye takes this connection's last slot, so it
+    // leaves after every verdict.
     batcher_.drain();
-    conn->wait_idle();
-    Frame bye;
-    bye.type = FrameType::kBye;
-    write_frame(conn, bye);
-  } else {
-    // Let in-flight responses for this connection flush before closing.
-    conn->wait_idle();
+    respond(*conn, Frame{FrameType::kBye, /*flags=*/0, /*id=*/0, {}});
   }
+  // Let in-flight responses for this connection flush before closing.
+  conn->wait_idle();
   return quit;
 }
 
@@ -235,42 +235,32 @@ Server::Disposition Server::handle_frame(const std::shared_ptr<Conn>& conn,
       req.id = frame.id;
       req.source = std::move(frame.payload);
       req.want_provenance = (frame.flags & kWantProvenance) != 0;
-      conn->add_pending();
-      batcher_.submit(std::move(req), [this, conn](ServeResponse resp) {
-        Frame out;
-        out.id = resp.id;
-        if (resp.rejected) {
-          out.type = FrameType::kError;
-          out.payload = std::move(resp.error);
-        } else {
-          out.type = FrameType::kVerdict;
-          if (resp.parse_failed) out.flags |= kParseFailed;
-          out.payload = resp.provenance_json.empty()
-                            ? std::string(1, static_cast<char>(
-                                                 '0' + (resp.verdict & 1)))
-                            : std::move(resp.provenance_json);
+      // The slot is taken before submit, so a rejection (which completes
+      // inline) still answers in request order.
+      const std::uint64_t seq = conn->reserve();
+      batcher_.submit(std::move(req), [this, conn, seq](ServeResponse resp) {
+        if (!resp.error.empty()) {
+          fill(*conn, seq, error_frame(resp.id, std::move(resp.error)));
+          return;
         }
-        write_frame(conn, out);
-        conn->sub_pending();
+        Frame out{FrameType::kVerdict, /*flags=*/0, resp.id, {}};
+        if (resp.parse_failed) out.flags |= kParseFailed;
+        out.payload = resp.provenance_json.empty()
+                          ? std::string(1, static_cast<char>(
+                                               '0' + (resp.verdict & 1)))
+                          : std::move(resp.provenance_json);
+        fill(*conn, seq, std::move(out));
       });
       return Disposition::kContinue;
     }
-    case FrameType::kPing: {
-      Frame out;
-      out.type = FrameType::kPong;
-      out.id = frame.id;
-      out.payload = std::move(frame.payload);
-      write_frame(conn, out);
+    case FrameType::kPing:
+      respond(*conn, Frame{FrameType::kPong, /*flags=*/0, frame.id,
+                           std::move(frame.payload)});
       return Disposition::kContinue;
-    }
-    case FrameType::kStats: {
-      Frame out;
-      out.type = FrameType::kStatsJson;
-      out.id = frame.id;
-      out.payload = obs::metrics().to_json();
-      write_frame(conn, out);
+    case FrameType::kStats:
+      respond(*conn, Frame{FrameType::kStatsJson, /*flags=*/0, frame.id,
+                           obs::metrics().to_json()});
       return Disposition::kContinue;
-    }
     case FrameType::kQuit:
       // Readiness flips before the drain starts, so /readyz reports 503
       // strictly before this connection's kBye confirms the drain finished.
@@ -278,36 +268,68 @@ Server::Disposition Server::handle_frame(const std::shared_ptr<Conn>& conn,
       obs::LogRecord(obs::LogLevel::kInfo, "serve.quit")
           .kv("request_id", frame.id);
       return Disposition::kQuit;
-    default: {
+    default:
       // A response-type frame from a client is a protocol violation, same
       // containment as wire garbage: answer, close, keep serving others.
       frame_errors_->add();
-      Frame err;
-      err.type = FrameType::kError;
-      err.id = frame.id;
-      err.payload = "unexpected frame type";
-      write_frame(conn, err);
+      respond(*conn, error_frame(frame.id, "unexpected frame type"));
       return Disposition::kClose;
-    }
   }
 }
 
-void Server::write_frame(const std::shared_ptr<Conn>& conn,
-                         const Frame& frame) {
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::string bytes = encode_frame(frame);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (net::write_all(conn->out_fd, bytes)) return;
-  conn->open.store(false, std::memory_order_relaxed);
+void Server::fill(Conn& conn, std::uint64_t seq, Frame frame) {
+  std::unique_lock<std::mutex> lock(conn.mu);
+  conn.unsent_bytes += kFrameHeaderBytes + frame.payload.size();
+  conn.slots[seq - conn.front_seq] = std::move(frame);
+  if (conn.flushing || !conn.slots.front().has_value()) return;
+  conn.flushing = true;
+  std::vector<Frame> ready;
+  std::size_t ready_bytes = 0;
+  try {
+    for (;;) {
+      while (!conn.slots.empty() && conn.slots.front().has_value()) {
+        ready.push_back(std::move(*conn.slots.front()));
+        ready_bytes += kFrameHeaderBytes + ready.back().payload.size();
+        conn.slots.pop_front();
+        ++conn.front_seq;
+      }
+      if (ready.empty()) break;
+      lock.unlock();
+      conn.unsent_cv.notify_all();
+      write_frames(conn, ready);
+      ready.clear();
+      lock.lock();
+      conn.unsent_bytes -= std::exchange(ready_bytes, 0);
+    }
+  } catch (const std::exception&) {
+    // Out of memory mid-flush: the responses in hand are lost, so this
+    // connection's stream ends here, as after a failed write.
+    if (!lock.owns_lock()) lock.lock();
+    conn.unsent_bytes -= ready_bytes;
+    conn.open = false;
+    ::shutdown(conn.out_fd, SHUT_RDWR);
+    internal_errors_->add();
+  }
+  conn.flushing = false;
+  lock.unlock();
+  conn.unsent_cv.notify_all();
+}
+
+void Server::write_frames(Conn& conn, const std::vector<Frame>& frames) {
+  if (!conn.open) return;
+  std::string bytes;
+  for (const Frame& f : frames) append_frame(f, &bytes);
+  if (net::write_all(conn.out_fd, bytes)) return;
+  conn.open = false;
   if (errno == EAGAIN || errno == EWOULDBLOCK) {
     // The peer read nothing for a whole send deadline. Shut the socket both
     // ways: the connection's reader sees EOF and stops, and this writer —
-    // often the batch worker — goes back to serving everyone else.
+    // often a worker — goes back to serving everyone else.
     timeout_errors_->add();
     static obs::LogRateLimit rl(/*per_sec=*/2.0, /*burst=*/10.0);
     obs::LogRecord(obs::LogLevel::kWarn, "serve.write_timeout", rl)
-        .kv("request_id", frame.id);
-    ::shutdown(conn->out_fd, SHUT_RDWR);
+        .kv("request_id", frames.front().id);
+    ::shutdown(conn.out_fd, SHUT_RDWR);
   }
 }
 

@@ -4,8 +4,8 @@
 // connection net::Listener accepts (or on exactly one fd pair — the daemon's
 // --stdio mode and the in-process tests) it reads length-prefixed frames
 // (serve/frame.h), routes kClassify payloads into the Batcher, and writes
-// responses back under a per-connection write lock so batched completions
-// never interleave bytes.
+// each connection's responses back in request order, whatever order the
+// workers finish in (see Conn).
 //
 // Failure containment is the contract the malformed-frame tests pin down:
 // a bad magic byte, an unknown frame type, or an oversized payload draws a
@@ -15,12 +15,13 @@
 // malicious verdict with the kParseFailed flag set. Time is bounded per
 // connection: a frame must arrive whole within net::kIoDeadlineMs of its
 // first byte, and a response write that hits the socket's send timeout
-// closes the connection, so a peer that stops reading cannot hold the
-// batch worker. Both count as serve.errors{kind=timeout}.
+// closes the connection, so a peer that stops reading holds one worker for
+// at most one deadline. Both count as serve.errors{kind=timeout}. A peer
+// that sends without reading is held back by its own socket (kMaxUnsent).
 //
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
 // safe — SIGTERM/SIGINT handlers call it) tickles the listener's self-pipe
-// every reader polls; readers stop consuming input, in-flight batches
+// every reader polls; readers stop consuming input, in-flight requests
 // complete, their responses flush, and run() joins every connection thread
 // before returning. A kQuit frame does the same dance and additionally
 // answers kBye after the drain, so a client can confirm its requests all
@@ -30,9 +31,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "net/net.h"
 #include "serve/frame.h"
@@ -90,19 +94,40 @@ class Server {
   /// The batcher behind this server (tests inspect queue depth).
   Batcher& batcher() { return batcher_; }
 
+  /// A connection's reader stops reading while this many of its responses
+  /// are unsent (reserved slots included), or while this many bytes of
+  /// them are (filled slots and the write in progress).
+  static constexpr std::size_t kMaxUnsent = 4096;
+  static constexpr std::size_t kMaxUnsentBytes = 1 << 20;
+
  private:
+  // One connection's responses, a slot each in request order. Every
+  // response reserves its slot when its request is read and fills it when
+  // ready; the one thread that fills the head slot while nobody is writing
+  // sets `flushing` and writes the filled prefix, outside the lock, until
+  // the head is empty. Only that thread writes to out_fd.
   struct Conn {
     int in_fd = -1;
     int out_fd = -1;
-    std::mutex write_mu;
-    std::mutex pending_mu;
-    std::condition_variable pending_cv;
-    std::size_t pending = 0;          // submitted, not yet answered
-    std::atomic<bool> open{true};
 
-    void add_pending();
-    void sub_pending();
+    std::mutex mu;
+    std::condition_variable unsent_cv;       // fewer responses unsent
+    std::deque<std::optional<Frame>> slots;  // front: oldest unsent
+    std::uint64_t front_seq = 0;             // sequence number of the front
+    std::size_t unsent_bytes = 0;  // filled slots and the write in progress
+    bool flushing = false;
+    // False once a write failed or close() ran. Only the flusher writes it,
+    // or close() while no flush runs, so the flusher reads it unlocked.
+    bool open = true;
+
+    /// Takes the next slot; returns its sequence number.
+    std::uint64_t reserve();
+    /// Blocks while kMaxUnsent responses or kMaxUnsentBytes are unsent.
+    void wait_for_room();
+    /// Blocks until there are no slots and no flusher.
     void wait_idle();
+    /// Waits out a running flush; later responses are dropped unwritten.
+    void close();
   };
 
   enum class Disposition {
@@ -118,7 +143,13 @@ class Server {
 
   Disposition handle_frame(const std::shared_ptr<Conn>& conn, Frame frame);
 
-  void write_frame(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  /// Deposits the response for slot `seq`, then flushes if it is due to.
+  void fill(Conn& conn, std::uint64_t seq, Frame frame);
+  /// A response ready on the reader thread: reserve, then fill.
+  void respond(Conn& conn, Frame frame) {
+    fill(conn, conn.reserve(), std::move(frame));
+  }
+  void write_frames(Conn& conn, const std::vector<Frame>& frames);
 
   // Frame payload cap: the model's max_source_bytes, enforced before a
   // payload buffers.

@@ -1,7 +1,7 @@
 // Connection-layer tests for src/net: the shutdown wake, listener cleanup,
-// dial's endpoint validation and its connect deadline. The accept loop's
-// reaping, cap and send deadline are exercised through the protocols above
-// it (serve_test, admin_test).
+// dial's endpoint validation and its connect deadline, and write_all's one
+// send timeout. The accept loop's reaping, cap and send deadline are
+// exercised through the protocols above it (serve_test, admin_test).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +10,12 @@
 #include <thread>
 #include <vector>
 
+#include <cerrno>
+
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "net/net.h"
@@ -125,6 +129,30 @@ TEST(Dial, TimesOutAgainstListenerThatNeverAccepts) {
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
   EXPECT_GE(failed_after, std::chrono::milliseconds(kTimeoutMs / 2));
   EXPECT_LT(failed_after, std::chrono::seconds(5));
+}
+
+// A peer that reads nothing: the first write fills the socket and returns
+// short once the send timeout runs out, and write_all fails then, not
+// after a second timeout.
+TEST(WriteAll, StalledPeerFailsAfterOneSendTimeout) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  constexpr int kTimeoutMs = 500;
+  const timeval tv{0, kTimeoutMs * 1000};
+  ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)), 0);
+
+  const std::string data(2u << 20, 'x');  // far more than the socket holds
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = net::write_all(sv[0], data);
+  const int err = errno;
+  const auto took = std::chrono::steady_clock::now() - t0;
+  ::close(sv[0]);
+  ::close(sv[1]);
+
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, EAGAIN);
+  EXPECT_GE(took, std::chrono::milliseconds(kTimeoutMs / 2));
+  EXPECT_LT(took, std::chrono::milliseconds(kTimeoutMs * 3 / 2));
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "dataset/generator.h"
 #include "js/parser.h"
 #include "obfuscators/obfuscator.h"
+#include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -69,6 +71,25 @@ TEST(ScriptAnalysis, ConcurrentConsumersShareOneParse) {
     (void)a.pdg();
   });
   EXPECT_EQ(js::parse_invocations() - before, 1u);
+}
+
+// The parse stage times the parse alone; normalize() (deob passes, print,
+// reparse) books its own stage, once, and only when deob is on.
+TEST(ScriptAnalysis, DeobIsBookedApartFromParse) {
+  obs::Summary* parse = obs::stage_summary("parse");
+  obs::Summary* deob = obs::stage_summary("deob");
+  const char* const kSource = "var k = 'ev' + 'al'; this[k]('1 + 1');";
+  for (const bool deobfuscate : {true, false}) {
+    const std::uint64_t parse_before = parse->count();
+    const std::uint64_t deob_before = deob->count();
+    const analysis::ScriptAnalysis a(kSource, {}, deobfuscate);
+    ASSERT_FALSE(a.parse_failed());
+    (void)a.scopes();  // a warm analysis books nothing more
+    EXPECT_EQ(parse->count() - parse_before, 1u) << deobfuscate;
+    EXPECT_EQ(deob->count() - deob_before, deobfuscate ? 1u : 0u)
+        << deobfuscate;
+    EXPECT_EQ(a.deob_ms() > 0.0, deobfuscate);
+  }
 }
 
 TEST(ScriptAnalysis, TokensAreIndependentOfTheParser) {

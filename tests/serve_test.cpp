@@ -1,27 +1,34 @@
-// Protocol- and batching-level tests for the src/serve daemon stack:
+// Protocol- and dispatch-level tests for the src/serve daemon stack:
 // framing codec edge cases (truncation, oversized lengths, zero-length
 // scripts, garbage), Batcher bit-identity against the library path at
-// several parallel widths, per-request stage booking, admission control
-// under overload, and the Server's failure-containment and graceful-drain
-// contracts over real sockets (a malformed client loses its connection,
-// never the daemon), plus the per-connection bounds of the listener
-// underneath: thread reaping, the partial-frame and send deadlines, and the
-// connection cap.
+// several worker counts, per-request stage booking, admission control
+// under overload, and the Server's contracts over real sockets: failure
+// containment (a malformed client loses its connection, never the daemon),
+// graceful drain, per-connection response order (rejections included), no
+// waiting across connections, the unsent-response bounds (count and bytes)
+// and no write after a failed reader; plus the per-connection bounds of the
+// listener underneath: thread reaping, the partial-frame and send deadlines,
+// and the connection cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "analysis/script_analysis.h"
 #include "core/jsrevealer.h"
 #include "core/model_view.h"
 #include "dataset/generator.h"
@@ -32,6 +39,34 @@
 #include "serve/frame.h"
 #include "serve/serve.h"
 #include "serve/server.h"
+#include "util/thread_pool.h"
+
+// Allocation-failure injection: the next allocation of at least this many
+// bytes on the current thread throws std::bad_alloc, as running out of
+// memory would, and the trap disarms. Unarmed, these are malloc and free.
+thread_local std::size_t g_fail_alloc_at_least = SIZE_MAX;
+
+void* operator new(std::size_t size) {
+  if (size >= g_fail_alloc_at_least) {
+    g_fail_alloc_at_least = SIZE_MAX;
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+// Out of line, so no call site sees operator new's pointer reach free().
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace jsrev {
 namespace {
@@ -179,10 +214,21 @@ class ServeFixture : public ::testing::Test {
     core::ModelView library;
     library.map_file(*model_path_);
     library_verdicts_ = new std::vector<int>(library.classify_all(*scripts_));
+
+    // One large parseable script (~205 KB): the fixture's parseable scripts
+    // repeated back to back. It takes hundreds of milliseconds to classify,
+    // so requests behind it are measurably held or not.
+    big_script_ = new std::string();
+    while (big_script_->size() < 205 * 1024) {
+      for (std::size_t i = 0; i + 2 < scripts_->size(); ++i) {
+        *big_script_ += (*scripts_)[i] + "\n;\n";
+      }
+    }
   }
 
   static void TearDownTestSuite() {
     std::remove(model_path_->c_str());
+    delete big_script_;
     delete library_verdicts_;
     delete scripts_;
     delete model_;
@@ -193,12 +239,14 @@ class ServeFixture : public ::testing::Test {
   static core::ModelView* model_;
   static std::vector<std::string>* scripts_;
   static std::vector<int>* library_verdicts_;
+  static std::string* big_script_;
 };
 
 std::string* ServeFixture::model_path_ = nullptr;
 core::ModelView* ServeFixture::model_ = nullptr;
 std::vector<std::string>* ServeFixture::scripts_ = nullptr;
 std::vector<int>* ServeFixture::library_verdicts_ = nullptr;
+std::string* ServeFixture::big_script_ = nullptr;
 
 TEST_F(ServeFixture, ModelOpensAsMappedArtifact) {
   EXPECT_TRUE(model_->loaded());
@@ -228,9 +276,8 @@ TEST_F(ServeFixture, BatcherMatchesLibraryAtEveryWidth) {
 }
 
 TEST_F(ServeFixture, BatcherProvenanceReportsFrontendStageTimes) {
-  // The Batcher forces each parse in its analyze stage, before classify
-  // runs; the provenance record must still carry the parse and the path
-  // traversal cost instead of zeros.
+  // The provenance record carries the parse and the path traversal cost
+  // instead of zeros, beside the request's queue wait.
   serve::Batcher batcher(*model_, {});
   std::string json;
   serve::ServeRequest req;
@@ -253,14 +300,17 @@ TEST_F(ServeFixture, BatcherProvenanceReportsFrontendStageTimes) {
     ASSERT_NE(ms, nullptr) << stage;
     EXPECT_GT(ms->number, 0.0) << stage << " in " << json;
   }
+  ASSERT_NE(stages->find("queue"), nullptr) << json;
+  EXPECT_GE(stages->find("queue")->number, 0.0);
 }
 
 TEST_F(ServeFixture, BatcherBooksEachRequestStageOnce) {
   // The daemon exports per-request stage time: one parseable request books
-  // one stage_ms sample for each stage it runs (the parse where the batcher
-  // forces it, the rest in the view's inference body).
+  // one stage_ms sample for each stage it runs (its queue wait in the
+  // Batcher, the parse in its ScriptAnalysis, the rest in the view's
+  // inference body).
   const char* const kStages[] = {"parse", "enhanced_ast", "path_traversal",
-                                 "embedding", "classify"};
+                                 "embedding", "classify", "queue"};
   std::vector<std::uint64_t> before;
   for (const char* stage : kStages) {
     before.push_back(obs::stage_summary(stage)->count());
@@ -297,9 +347,9 @@ TEST_F(ServeFixture, BatcherRejectsBeyondQueueCapacity) {
     req.id = i;
     req.source = "var v" + std::to_string(i) + " = 1;";
     batcher.submit(std::move(req), [&](serve::ServeResponse resp) {
-      if (resp.rejected) {
+      if (!resp.error.empty()) {
+        EXPECT_EQ(resp.error, "queue full");
         EXPECT_EQ(resp.verdict, -1);
-        EXPECT_FALSE(resp.error.empty());
         rejected.fetch_add(1);
       } else {
         answered.fetch_add(1);
@@ -567,11 +617,17 @@ TEST_F(ServeFixture, SequentialConnectionsDoNotAccumulateThreads) {
 }
 
 // A client that asks for many large responses and reads none of them fills
-// its socket; the write that blocks is the batch worker's. The send deadline
-// must close that connection and free the worker for everyone else.
-TEST_F(ServeFixture, NonReadingClientDoesNotStallOthers) {
+// its socket; the write that blocks is a worker's. The other workers keep
+// answering everyone else, and the send deadline closes the stalled
+// connection and frees its writer. With one worker, nobody else is
+// answered until that deadline fires.
+void expect_non_reading_client_does_not_stall_others(
+    const core::ModelView& model, std::size_t threads) {
+  SCOPED_TRACE("threads " + std::to_string(threads));
   const std::string path = "serve_test_stall.sock";
-  serve::Server server(*model_, {});
+  serve::ServeOptions opts;
+  opts.threads = threads;
+  serve::Server server(model, opts);
   server.listen_unix(path);
   std::thread daemon([&] { server.run(); });
   const std::uint64_t timeouts_before =
@@ -604,12 +660,225 @@ TEST_F(ServeFixture, NonReadingClientDoesNotStallOthers) {
   const double waited_ms = elapsed_ms(t0);
   ASSERT_EQ(frames.size(), 1u) << "no answer within two send deadlines";
   EXPECT_EQ(frames[0].type, serve::FrameType::kVerdict);
-  EXPECT_LT(waited_ms, 2.0 * net::kIoDeadlineMs);
-  EXPECT_GT(counter_value("serve.errors", "kind", "timeout"),
-            timeouts_before);
+  if (resolve_threads(threads) == 1) {
+    EXPECT_LT(waited_ms, 2.0 * net::kIoDeadlineMs);
+    EXPECT_GT(counter_value("serve.errors", "kind", "timeout"),
+              timeouts_before);
+  } else {
+    EXPECT_LT(waited_ms, 1.0 * net::kIoDeadlineMs);
+    // The stalled write still times out, one deadline after it blocked.
+    for (int i = 0; i < 2 * net::kIoDeadlineMs / 10 &&
+                    counter_value("serve.errors", "kind", "timeout") ==
+                        timeouts_before;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(counter_value("serve.errors", "kind", "timeout"),
+              timeouts_before);
+  }
 
   ::close(fd);
   ::close(stalled);
+  server.request_shutdown();
+  daemon.join();
+}
+
+TEST_F(ServeFixture, NonReadingClientDoesNotStallOthers) {
+  expect_non_reading_client_does_not_stall_others(
+      *model_, serve::ServeOptions{}.threads);
+  expect_non_reading_client_does_not_stall_others(*model_, 1);
+}
+
+// A client that sends without ever reading stops being read once its
+// unsent responses reach the connection's bound, so its writes stall (here
+// until its send timeout) instead of piling responses up in the daemon.
+// The PONGs queue behind the big script's verdict, so no write of the
+// daemon's holds the reader back before the bound does.
+TEST_F(ServeFixture, NonReadingClientIsHeldBackByItsSocket) {
+  const std::string path = "serve_test_flood.sock";
+  serve::Server server(*model_, {});
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+
+  // 4.8 MB of PINGs, far past the socket buffers both ways.
+  std::string wire = serve::encode_frame(classify_frame(1, *big_script_));
+  for (std::uint32_t i = 2; i < 400'000; ++i) {
+    serve::append_frame(ping_frame(i), &wire);
+  }
+  const int fd = connect_client("unix:" + path, /*timeout_ms=*/1000);
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const ssize_t w = ::write(fd, wire.data() + off, wire.size() - off);
+    if (w <= 0) break;  // send timeout: the daemon stopped reading
+    off += static_cast<std::size_t>(w);
+  }
+  EXPECT_LT(off, wire.size());
+
+  ::close(fd);
+  server.request_shutdown();
+  daemon.join();
+}
+
+// The same bound in bytes. A STATS frame is answered with the whole
+// registry and a PONG echoes its PING, so a few hundred of them behind the
+// big script are far fewer than kMaxUnsent responses but megabytes of them.
+// The reader stops once kMaxUnsentBytes are unsent, and the client's write
+// stalls after roughly that much, not after the whole 8 MiB.
+TEST_F(ServeFixture, NonReadingClientIsHeldBackByResponseBytes) {
+  const std::string path = "serve_test_bytes.sock";
+  serve::Server server(*model_, {});
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+
+  std::string wire = serve::encode_frame(classify_frame(1, *big_script_));
+  std::uint32_t id = 2;
+  for (int i = 0; i < 200; ++i) {
+    serve::Frame stats;
+    stats.type = serve::FrameType::kStats;
+    stats.id = id++;
+    serve::append_frame(stats, &wire);
+  }
+  constexpr std::size_t kPingBytes = 256 * 1024;
+  for (int i = 0; i < 32; ++i) {
+    serve::Frame ping = ping_frame(id++);
+    ping.payload.assign(kPingBytes, 'p');
+    serve::append_frame(ping, &wire);
+  }
+  const int fd = connect_client("unix:" + path, /*timeout_ms=*/1000);
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    const ssize_t w = ::write(fd, wire.data() + off, wire.size() - off);
+    if (w <= 0) break;  // send timeout: the daemon stopped reading
+    off += static_cast<std::size_t>(w);
+  }
+  // The daemon took the script, the STATS, PINGs whose PONGs reach the
+  // budget (the last one crossing it), one PING and one read in its buffer,
+  // and what the socket holds (allowed 1 MiB).
+  EXPECT_LT(off, big_script_->size() + serve::Server::kMaxUnsentBytes +
+                     3 * kPingBytes + (1u << 20))
+      << "of " << wire.size();
+
+  ::close(fd);
+  server.request_shutdown();
+  daemon.join();
+}
+
+// An exception escaping a connection's reader (here std::bad_alloc while
+// its read buffer grows for a large PING) ends serve_fd while that
+// connection's requests still run. The caller closes the fd as serve_fd
+// returns, and another descriptor may take its number at once: the late
+// verdicts must not be written into it.
+TEST_F(ServeFixture, ReaderFailureStopsWritesBeforeItsFdCloses) {
+  int sv[2];
+  int pipe_fds[2];  // takes over sv[0]'s number once it is closed
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  serve::Server server(*model_, opts);
+  const std::uint64_t internal_before =
+      counter_value("serve.errors", "kind", "internal");
+  std::thread reader([&] {
+    g_fail_alloc_at_least = 1u << 20;
+    server.serve_fd(sv[0], sv[0]);
+    g_fail_alloc_at_least = SIZE_MAX;
+    ::close(sv[0]);
+  });
+
+  // Two big scripts keep the one worker busy well past the failure.
+  std::string wire;
+  serve::append_frame(classify_frame(1, *big_script_), &wire);
+  serve::append_frame(classify_frame(2, *big_script_), &wire);
+  serve::Frame ping = ping_frame(3);
+  ping.payload.assign(2u << 20, 'p');
+  serve::append_frame(ping, &wire);
+  std::size_t off = 0;
+  while (off < wire.size()) {  // fails once the reader is gone
+    const ssize_t w = ::write(sv[1], wire.data() + off, wire.size() - off);
+    if (w <= 0) break;
+    off += static_cast<std::size_t>(w);
+  }
+  ::shutdown(sv[1], SHUT_WR);
+  reader.join();
+
+  ASSERT_EQ(::dup2(pipe_fds[1], sv[0]), sv[0]);
+  EXPECT_GT(server.batcher().queue_depth(), 0u) << "no request outlived it";
+  server.batcher().drain();
+  pollfd pfd{pipe_fds[0], POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "a late verdict reached the reused fd";
+  EXPECT_GT(counter_value("serve.errors", "kind", "internal"),
+            internal_before);
+
+  for (const int fd : {sv[0], sv[1], pipe_fds[0], pipe_fds[1]}) ::close(fd);
+}
+
+// One worker and room for one waiting request: the one-liners sent behind
+// the big script are turned away while it runs, and each rejection
+// completes on the reader thread, before the verdicts ahead of it. The
+// responses must still leave in request order.
+TEST_F(ServeFixture, RejectionsKeepTheirPlaceInResponseOrder) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  opts.max_queue = 1;
+  serve::Server server(*model_, opts);
+  std::thread daemon([&] {
+    server.serve_fd(sv[0], sv[0]);
+    ::close(sv[0]);
+  });
+
+  std::string out;
+  serve::append_frame(classify_frame(1, *big_script_), &out);
+  for (std::uint32_t id = 2; id <= 4; ++id) {
+    serve::append_frame(classify_frame(id, "var x = 1;"), &out);
+  }
+  send_all(sv[1], out);
+  const std::vector<serve::Frame> frames = read_frames(sv[1], 4);
+  ::shutdown(sv[1], SHUT_WR);  // EOF ends serve_fd
+  daemon.join();
+  ::close(sv[1]);
+
+  ASSERT_EQ(frames.size(), 4u);
+  int rejected = 0;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(frames[i].id, i + 1);
+    if (frames[i].type == serve::FrameType::kError) ++rejected;
+  }
+  EXPECT_EQ(frames[0].type, serve::FrameType::kVerdict);
+  EXPECT_GE(rejected, 1);  // the queue did overflow
+}
+
+// Requests on different connections never wait for each other beyond the
+// worker count: B's one-liner is answered while A's big script still runs.
+TEST_F(ServeFixture, SlowRequestDoesNotHoldAnotherConnection) {
+  ASSERT_FALSE(analysis::ScriptAnalysis(*big_script_).parse_failed());
+  const std::string path = "serve_test_slow.sock";
+  serve::ServeOptions opts;
+  opts.threads = 2;
+  serve::Server server(*model_, opts);
+  server.listen_unix(path);
+  std::thread daemon([&] { server.run(); });
+
+  const int a = connect_client("unix:" + path);
+  const int b = connect_client("unix:" + path);
+  send_all(a, serve::encode_frame(classify_frame(1, *big_script_)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  send_all(b, serve::encode_frame(classify_frame(2, "var ok = 1;")));
+  const std::vector<serve::Frame> b_frames = read_frames(b, 1);
+  pollfd pfd{a, POLLIN, 0};
+  const int a_ready = ::poll(&pfd, 1, 0);
+  ASSERT_EQ(b_frames.size(), 1u);
+  EXPECT_EQ(b_frames[0].type, serve::FrameType::kVerdict);
+  EXPECT_EQ(a_ready, 0) << "B was answered only after A";
+
+  const std::vector<serve::Frame> a_frames = read_frames(a, 1);
+  ASSERT_EQ(a_frames.size(), 1u);
+  EXPECT_EQ(a_frames[0].type, serve::FrameType::kVerdict);
+  EXPECT_EQ(a_frames[0].id, 1u);
+
+  ::close(a);
+  ::close(b);
   server.request_shutdown();
   daemon.join();
 }
@@ -640,6 +909,42 @@ TEST_F(ServeFixture, PartialFrameTimesOut) {
 
   server.request_shutdown();
   daemon.join();
+}
+
+// The partial-frame deadline is the peer's, not the daemon's: a frame that
+// arrives behind a PING is timed from when the daemon finished answering
+// that PING, not from when its first bytes were read. Here the reader spends
+// ~3 s writing a 2 MiB PONG to a client that does not read yet, and the
+// rest of the next frame comes ~2.5 s after that.
+TEST_F(ServeFixture, PartialFrameIsTimedFromTheEndOfThePreviousOne) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  serve::Server server(*model_, {});
+  std::thread daemon([&] {
+    server.serve_fd(sv[0], sv[0]);
+    ::close(sv[0]);
+  });
+
+  serve::Frame ping = ping_frame(1);
+  ping.payload.assign(2u << 20, 'p');
+  const std::string next = serve::encode_frame(classify_frame(2, "var x;"));
+  std::string wire = serve::encode_frame(ping);
+  wire += next.substr(0, serve::kFrameHeaderBytes / 2);
+  send_all(sv[1], wire);
+  std::this_thread::sleep_for(std::chrono::seconds(3));
+  const std::vector<serve::Frame> pong = read_frames(sv[1], 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  send_all(sv[1], next.substr(serve::kFrameHeaderBytes / 2));
+  const std::vector<serve::Frame> verdict = read_frames(sv[1], 1);
+  ::shutdown(sv[1], SHUT_WR);  // EOF ends serve_fd
+  daemon.join();
+  ::close(sv[1]);
+
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_EQ(pong[0].type, serve::FrameType::kPong);
+  ASSERT_EQ(verdict.size(), 1u);
+  EXPECT_EQ(verdict[0].type, serve::FrameType::kVerdict) << verdict[0].payload;
+  EXPECT_EQ(verdict[0].id, 2u);
 }
 
 TEST_F(ServeFixture, ConnectionCapRejectsUntilASlotFrees) {
@@ -677,9 +982,12 @@ TEST_F(ServeFixture, ConnectionCapRejectsUntilASlotFrees) {
   ::close(idle.back());
   idle.pop_back();
   bool served = false;
+  const std::string ping = serve::encode_frame(ping_frame(1));
   for (int attempt = 0; attempt < 200 && !served; ++attempt) {
     const int fd = connect_client(endpoint);
-    send_all(fd, serve::encode_frame(ping_frame(1)));
+    // An attempt still over the cap may be answered and closed before this
+    // send lands, so its result is not checked; the answer below tells.
+    ::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL);
     const std::vector<serve::Frame> frames = read_frames(fd, 1);
     ::close(fd);
     served = frames.size() == 1 && frames[0].type == serve::FrameType::kPong;

@@ -5,8 +5,12 @@
 //   --unix PATH    listen on a Unix-domain socket
 //   --tcp PORT     listen on 127.0.0.1:PORT (0 = ephemeral; port printed)
 //
-//   jsr_serve --model M.jsrm --stdio [--threads N] [--max-batch N]
-//             [--max-queue N]
+//   jsr_serve --model M.jsrm --stdio [--threads N] [--max-queue N]
+//
+// --threads sets how many requests run at once, one worker thread each
+// (0 = hardware concurrency); --max-queue bounds the requests waiting for a
+// worker (beyond it, ERROR "queue full"). One connection's responses always
+// come back in request order.
 //
 // The model is a JSRM v4 artifact, mapped read-only (zero-copy; `jsr_model
 // train --out` writes one). Parse limits and the deobfuscate flag come from
@@ -25,7 +29,7 @@
 //   jsr_serve --encode a.js b.js | jsr_serve --model M --stdio |
 //       jsr_serve --decode
 //
-// SIGTERM/SIGINT request a graceful shutdown: in-flight batches finish and
+// SIGTERM/SIGINT request a graceful shutdown: accepted requests finish and
 // their responses flush before the process exits. Exit status: 0 = ok,
 // 1 = operation failed, 2 = usage error.
 #include <csignal>
@@ -55,7 +59,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --model M [--stdio | --unix PATH | --tcp PORT]\n"
-      "          [--threads N] [--max-batch N] [--max-queue N]\n"
+      "          [--threads N] [--max-queue N]\n"
       "          [--admin [ADDR:]PORT | --admin-unix PATH]\n"
       "          [--log-level debug|info|warn|error] [--slow-ms N]\n"
       "       %s --encode FILE.JS... [--provenance] [--quit]\n"
@@ -176,7 +180,7 @@ int main(int argc, char** argv) {
   std::string model_path, unix_path;
   bool stdio = false, want_tcp = false;
   std::uint64_t tcp_port = 0;
-  std::size_t threads = 0, max_batch = 0, max_queue = 0;
+  std::size_t threads = 0, max_queue = 0;
   bool encode = false, decode = false, provenance = false, quit = false;
   std::string admin_spec, admin_unix;
   bool admin_get = false;
@@ -206,11 +210,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const char* v = next();
       if (v == nullptr || !parse_size(v, &threads)) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      const char* v = next();
-      if (v == nullptr || !parse_size(v, &max_batch) || max_batch == 0) {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--max-queue") == 0) {
       const char* v = next();
       if (v == nullptr || !parse_size(v, &max_queue) || max_queue == 0) {
@@ -273,7 +272,6 @@ int main(int argc, char** argv) {
     model.map_file(model_path);
     serve::ServeOptions opts;
     opts.threads = threads;
-    if (max_batch != 0) opts.max_batch = max_batch;
     if (max_queue != 0) opts.max_queue = max_queue;
     opts.slow_ms = static_cast<double>(slow_ms);
 
