@@ -25,6 +25,14 @@ JsRevealer::JsRevealer(Config cfg)
         std::to_string(paths::PathConfig{}.max_paths) +
         " (the artifact does not record it)");
   }
+  const paths::PathConfig& window = cfg_.path;
+  if (window.max_length < 0 || window.max_length > paths::kMaxPathLength ||
+      window.max_width < 0 || window.max_width > paths::kMaxPathWidth) {
+    throw std::invalid_argument(
+        "JsRevealer: Config::path.max_length must be in [0, " +
+        std::to_string(paths::kMaxPathLength) + "] and max_width in [0, " +
+        std::to_string(paths::kMaxPathWidth) + "] (the artifact's bounds)");
+  }
   if (cfg_.trace) obs::Tracer::global().set_enabled(true);
   set_threads(cfg_.threads);
 }
@@ -52,7 +60,7 @@ JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
                                        cfg_.deobfuscate);
       try {
         obs::StageDurationsMs ms;
-        extracted[i] = extract(a, cfg_.path, &ms);
+        extracted[i] = extract(a, cfg_.path, &ms).contexts();
       } catch (const std::exception&) {
         // unparseable training sample contributes nothing
       }

@@ -41,7 +41,9 @@ class JsRevealer final : public ModelView {
  public:
   /// Throws std::invalid_argument when cfg.path.max_paths is not the
   /// default: the artifact does not record it, so the trained model's own
-  /// featurize would extract with another cap than training did.
+  /// featurize would extract with another cap than training did. Also when
+  /// cfg.path's window is negative or beyond what an artifact may carry
+  /// (paths::kMaxPathLength, paths::kMaxPathWidth).
   explicit JsRevealer(Config cfg = {});
 
   void train(const dataset::Corpus& corpus) override;

@@ -147,6 +147,10 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   require(hdr.vocab_size == 0 || hdr.vocab_table_size > hdr.vocab_size,
           "header", offsetof(Hdr, vocab_table_size),
           "vocabulary table smaller than the vocabulary");
+  require(hdr.path_max_length <= paths::kMaxPathLength, "header",
+          offsetof(Hdr, path_max_length), "path_max_length exceeds 255");
+  require(hdr.path_max_width <= paths::kMaxPathWidth, "header",
+          offsetof(Hdr, path_max_width), "path_max_width exceeds 65535");
 
   std::vector<fmt::SectionRec> sections(hdr.section_count);
   std::memcpy(sections.data(), data + sizeof(Hdr),
@@ -367,7 +371,7 @@ std::vector<double> ModelView::featurize(const std::string& source) const {
       analysis::ScriptAnalysis(source, parse_limits_, deobfuscate_));
 }
 
-std::vector<paths::PathContext> ModelView::extract(
+paths::PathSet ModelView::extract(
     const analysis::ScriptAnalysis& analysis, const paths::PathConfig& cfg,
     obs::StageDurationsMs* ms) {
   static obs::Summary* const enhanced_ast_stage =
@@ -387,10 +391,10 @@ std::vector<paths::PathContext> ModelView::extract(
   enhanced_ast_stage->observe(ms->enhanced_ast);
 
   Timer t_paths;
-  auto pcs = paths::extract_paths(analysis.root(), flow, cfg);
+  paths::PathSet set = paths::enumerate_paths(analysis.root(), flow, cfg);
   ms->path_traversal = t_paths.elapsed_ms();
   path_traversal_stage->observe(ms->path_traversal);
-  return pcs;
+  return set;
 }
 
 std::vector<double> ModelView::featurize(
@@ -400,18 +404,17 @@ std::vector<double> ModelView::featurize(
     throw std::logic_error("ModelView: no artifact attached");
   }
   obs::StageDurationsMs ms;
-  const auto pcs = extract(analysis, path_cfg_, &ms);
+  const paths::PathSet set = extract(analysis, path_cfg_, &ms);
   // The parse and deob were booked when they ran (ScriptAnalysis);
   // provenance still reports their cost.
   ms.parse = analysis.parse_ms();
   ms.deob = analysis.deob_ms();
 
   // The four table-lookup steps, all booked as the embedding stage: probe
-  // the vocabulary, then read, softmax and accumulate the path records.
+  // the vocabulary with each path's streamed key, then read, softmax and
+  // accumulate the path records.
   Timer t_embed;
-  std::vector<std::int32_t> ids;
-  ids.reserve(pcs.size());
-  for (const auto& pc : pcs) ids.push_back(vocab_.lookup(pc));
+  const std::vector<std::int32_t> ids = vocab_.lookup_all(set);
   std::size_t outside = 0;
   std::vector<double> f = path_table_.cluster_features(ids, &outside);
   ms.embedding = t_embed.elapsed_ms();
@@ -449,7 +452,7 @@ std::vector<double> ModelView::featurize(
   }
   if (prov != nullptr) {
     prov->source_bytes = analysis.source().size();
-    prov->path_count = pcs.size();
+    prov->path_count = set.size();
     prov->known_path_count = static_cast<std::size_t>(
         std::count_if(ids.begin(), ids.end(),
                       [](std::int32_t id) { return id >= 0; }));

@@ -12,10 +12,11 @@
 // (header seal, section table, checksums, index bounds) instead of
 // deserialization.
 //
-// Featurization is table lookups: each extracted path is probed in the
-// vocabulary, its path.table record gives its attention score and cluster,
-// and ml::PathTableView::cluster_features softmaxes the scores and sums them
-// per cluster.
+// Featurization is table lookups: each enumerated path record is probed in
+// the vocabulary by its streamed key (no path string is built), its
+// path.table record gives its attention score and cluster, and
+// ml::PathTableView::cluster_features softmaxes the scores and sums them per
+// cluster.
 //
 // The last step of classify is the predict call: the artifact's forest,
 // except for a JsRevealer trained with one of Table II's non-forest
@@ -173,10 +174,10 @@ class ModelView : public detect::Detector {
 
  protected:
   /// Forces the enhanced AST (data flow, with cfg.use_dataflow) and
-  /// extracts the path contexts under `cfg`, booking and recording both
-  /// stage durations in `ms`; throws std::runtime_error when the script
-  /// does not parse. featurize() and JsRevealer's training both run it.
-  static std::vector<paths::PathContext> extract(
+  /// enumerates the paths under `cfg`, booking and recording both stage
+  /// durations in `ms`; throws std::runtime_error when the script does not
+  /// parse. featurize() and JsRevealer's training both run it.
+  static paths::PathSet extract(
       const analysis::ScriptAnalysis& analysis, const paths::PathConfig& cfg,
       obs::StageDurationsMs* ms);
 

@@ -1,5 +1,6 @@
 #include "paths/vocab.h"
 
+#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -13,6 +14,34 @@ std::size_t table_size_for(std::size_t entries) {
   return slots;
 }
 }  // namespace
+
+std::vector<std::int32_t> PathVocabView::lookup_all(const PathSet& set) const {
+  std::vector<std::int32_t> ids;
+  ids.reserve(set.size());
+  std::vector<std::string_view> seg;
+  // Head hashes of the current source leaf by (ends, up); a slot is current
+  // when its stamp is that leaf's index + 1 (records come in source order).
+  constexpr std::size_t kSlots = 3 * (kMaxPathLength + 1);
+  std::array<std::uint64_t, kSlots> head_hash;
+  std::array<std::uint32_t, kSlots> stamp{};
+  for (std::size_t k = 0; k < set.size(); ++k) {
+    const PathRecord& r = set[k];
+    seg.clear();
+    set.key_segments(k, &seg);
+    const std::size_t head = PathSet::head_segments(r);
+    const std::size_t slot = static_cast<std::size_t>(r.ends) *
+                                 (kMaxPathLength + 1) +
+                             r.up;
+    if (stamp[slot] != r.source + 1) {
+      stamp[slot] = r.source + 1;
+      head_hash[slot] = hash_segments(fnv1a64_begin(), seg.data(), head);
+    }
+    const std::uint64_t h = hash_segments(head_hash[slot], seg.data() + head,
+                                          seg.size() - head);
+    ids.push_back(find(h, seg.data(), seg.size()));
+  }
+  return ids;
+}
 
 void PathVocab::insert_into_table(std::uint32_t id) {
   const std::uint32_t mask = static_cast<std::uint32_t>(table_.size()) - 1;

@@ -59,26 +59,38 @@ class PathVocabView {
   /// Hash of a path context, identical to fnv1a64(pc.key()) but computed
   /// without materializing the key string.
   static std::uint64_t hash_of(const PathContext& pc) {
-    std::uint64_t h = fnv1a64_begin();
-    h = fnv1a64_step(h, pc.source_value);
-    h = fnv1a64_step(h, "|");
-    h = fnv1a64_step(h, pc.path);
-    h = fnv1a64_step(h, "|");
-    h = fnv1a64_step(h, pc.target_value);
-    return h;
+    const std::string_view seg[] = {pc.source_value, "|", pc.path, "|",
+                                    pc.target_value};
+    return hash_segments(fnv1a64_begin(), seg, 5);
   }
 
   /// Looks up a path context without allocating. kUnknown if absent.
   std::int32_t lookup(const PathContext& pc) const {
+    const std::string_view seg[] = {pc.source_value, "|", pc.path, "|",
+                                    pc.target_value};
+    return find(hash_segments(fnv1a64_begin(), seg, 5), seg, 5);
+  }
+
+  /// The id of every path of `set`, in order, found by streaming its key
+  /// segments: lookup(set.context(k)) for each k, with no string built.
+  /// The hash of a key's head (x_s through the top node) is computed once
+  /// per source leaf, ends and up, and shared by the paths that leaf starts.
+  std::vector<std::int32_t> lookup_all(const PathSet& set) const;
+
+  /// The one probe: the id whose key is the concatenation of the `n`
+  /// segments `seg` (x_s, "|", the path pieces, "|", x_t), given their
+  /// hash `h`; kUnknown if absent. A hash match is confirmed by the key's
+  /// lengths, then its bytes.
+  std::int32_t find(std::uint64_t h, const std::string_view* seg,
+                    std::size_t n) const {
     if (table_size_ == 0) return kUnknown;
-    const std::uint64_t h = hash_of(pc);
     const std::uint32_t mask = table_size_ - 1;
     for (std::uint32_t probe = static_cast<std::uint32_t>(h) & mask;;
          probe = (probe + 1) & mask) {
       const std::uint32_t slot = table_[probe];
       if (slot == 0) return kUnknown;
       const std::uint32_t id = slot - 1;
-      if (entries_[id].hash == h && equals(entries_[id], pc)) {
+      if (entries_[id].hash == h && equals(entries_[id], seg, n)) {
         return static_cast<std::int32_t>(id);
       }
     }
@@ -107,21 +119,23 @@ class PathVocabView {
   }
 
  private:
-  bool equals(const VocabEntryRec& e, const PathContext& pc) const {
-    if (e.length != pc.source_value.size() + pc.path.size() +
-                        pc.target_value.size() + 2 ||
-        e.source_len != pc.source_value.size() ||
-        e.path_len != pc.path.size()) {
+  bool equals(const VocabEntryRec& e, const std::string_view* seg,
+              std::size_t n) const {
+    std::size_t length = 0;
+    for (std::size_t i = 0; i < n; ++i) length += seg[i].size();
+    if (e.length != length || e.source_len != seg[0].size() ||
+        e.path_len != length - seg[0].size() - seg[n - 1].size() - 2) {
       return false;
     }
     const char* k = blob_ + e.offset;
-    return std::memcmp(k, pc.source_value.data(), e.source_len) == 0 &&
-           k[e.source_len] == '|' &&
-           std::memcmp(k + e.source_len + 1, pc.path.data(), e.path_len) ==
-               0 &&
-           k[e.source_len + 1 + e.path_len] == '|' &&
-           std::memcmp(k + e.source_len + 1 + e.path_len + 1,
-                       pc.target_value.data(), pc.target_value.size()) == 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!seg[i].empty() &&
+          std::memcmp(k, seg[i].data(), seg[i].size()) != 0) {
+        return false;
+      }
+      k += seg[i].size();
+    }
+    return true;
   }
 
   const char* blob_ = nullptr;
@@ -147,12 +161,11 @@ class PathVocab {
 
   std::string_view key(std::int32_t id) const { return view().key(id); }
 
-  /// Representative context for a vocabulary entry, rebuilt from the blob
-  /// (leaf pointers unset).
+  /// Representative context for a vocabulary entry, rebuilt from the blob.
   PathContext representative(std::int32_t id) const {
     const PathVocabView v = view();
     return {std::string(v.source_value(id)), std::string(v.path_value(id)),
-            std::string(v.target_value(id)), nullptr, nullptr};
+            std::string(v.target_value(id))};
   }
 
   /// Borrowed view over this vocabulary's storage — the exact lookup code a

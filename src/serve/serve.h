@@ -94,7 +94,8 @@ class Batcher {
   Batcher& operator=(const Batcher&) = delete;
 
   /// Enqueues one request. On admission failure `done` fires inline with
-  /// the reason in `error`.
+  /// the reason in `error`. Throws (std::bad_alloc) only before `done` has
+  /// run or been queued, so a caller that catches still owes the answer.
   void submit(ServeRequest req, Completion done);
 
   /// Blocks until every accepted request has completed.

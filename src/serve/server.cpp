@@ -86,14 +86,16 @@ void Server::run() {
 }
 
 void Server::serve_fd(int in_fd, int out_fd) {
-  auto conn = std::make_shared<Conn>();
-  conn->in_fd = in_fd;
-  conn->out_fd = out_fd;
-  // Backstop containment: an exception escaping the connection loop must
-  // cost one connection, never the process (an uncaught exception on a
-  // connection thread is std::terminate).
+  // Backstop containment: an exception escaping the connection — its
+  // state's allocation included — must cost one connection, never the
+  // process (an uncaught exception on a connection thread is
+  // std::terminate).
+  std::shared_ptr<Conn> conn;
   bool quit = false;
   try {
+    conn = std::make_shared<Conn>();
+    conn->in_fd = in_fd;
+    conn->out_fd = out_fd;
     quit = conn_loop(conn);
   } catch (const std::exception& e) {
     internal_errors_->add();
@@ -102,7 +104,7 @@ void Server::serve_fd(int in_fd, int out_fd) {
   }
   // The caller closes the fd next, and after an exception this connection's
   // requests may still be running: none of them may write to a reused fd.
-  conn->close();
+  if (conn != nullptr) conn->close();
   if (quit) request_shutdown();
 }
 
@@ -190,14 +192,7 @@ bool Server::conn_loop(const std::shared_ptr<Conn>& conn) {
       try {
         d = handle_frame(conn, std::move(frame));
       } catch (const std::exception& e) {
-        // Answered, counted and logged with the request id, so the client's
-        // ERROR has a server-side record to join against.
-        internal_errors_->add();
-        obs::LogRecord(obs::LogLevel::kError, "serve.internal_error")
-            .kv("request_id", frame_id)
-            .kv("what", e.what());
-        respond(*conn, error_frame(frame_id,
-                                   std::string("internal error: ") + e.what()));
+        fail_request(*conn, conn->reserve(), frame_id, e);
         d = Disposition::kClose;
       }
       if (d == Disposition::kClose) {
@@ -238,19 +233,28 @@ Server::Disposition Server::handle_frame(const std::shared_ptr<Conn>& conn,
       // The slot is taken before submit, so a rejection (which completes
       // inline) still answers in request order.
       const std::uint64_t seq = conn->reserve();
-      batcher_.submit(std::move(req), [this, conn, seq](ServeResponse resp) {
-        if (!resp.error.empty()) {
-          fill(*conn, seq, error_frame(resp.id, std::move(resp.error)));
-          return;
-        }
-        Frame out{FrameType::kVerdict, /*flags=*/0, resp.id, {}};
-        if (resp.parse_failed) out.flags |= kParseFailed;
-        out.payload = resp.provenance_json.empty()
-                          ? std::string(1, static_cast<char>(
-                                               '0' + (resp.verdict & 1)))
-                          : std::move(resp.provenance_json);
-        fill(*conn, seq, std::move(out));
-      });
+      try {
+        batcher_.submit(std::move(req), [this, conn, seq](ServeResponse resp) {
+          if (!resp.error.empty()) {
+            fill(*conn, seq, error_frame(resp.id, std::move(resp.error)));
+            return;
+          }
+          Frame out{FrameType::kVerdict, /*flags=*/0, resp.id, {}};
+          if (resp.parse_failed) out.flags |= kParseFailed;
+          out.payload = resp.provenance_json.empty()
+                            ? std::string(1, static_cast<char>(
+                                                 '0' + (resp.verdict & 1)))
+                            : std::move(resp.provenance_json);
+          fill(*conn, seq, std::move(out));
+        });
+      } catch (const std::exception& e) {
+        // Out of memory handing the request over (the completion's storage,
+        // the queue, the rejection's log record): submit throws before it
+        // calls the completion, so the reserved slot is still empty, and
+        // every response behind it waits for it.
+        fail_request(*conn, seq, frame.id, e);
+        return Disposition::kClose;
+      }
       return Disposition::kContinue;
     }
     case FrameType::kPing:
@@ -274,6 +278,26 @@ Server::Disposition Server::handle_frame(const std::shared_ptr<Conn>& conn,
       frame_errors_->add();
       respond(*conn, error_frame(frame.id, "unexpected frame type"));
       return Disposition::kClose;
+  }
+}
+
+void Server::fail_request(Conn& conn, std::uint64_t seq, std::uint32_t id,
+                          const std::exception& e) {
+  Frame out = error_frame(id, {});
+  try {
+    out.payload = std::string("internal error: ") + e.what();
+  } catch (const std::exception&) {
+    out.payload = "internal error";  // short enough to need no allocation
+  }
+  fill(conn, seq, std::move(out));
+  internal_errors_->add();
+  // Logged with the request id, so the client's ERROR has a server-side
+  // record to join against; a log that cannot allocate is skipped.
+  try {
+    obs::LogRecord(obs::LogLevel::kError, "serve.internal_error")
+        .kv("request_id", id)
+        .kv("what", e.what());
+  } catch (const std::exception&) {
   }
 }
 

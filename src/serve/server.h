@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -145,6 +146,11 @@ class Server {
 
   /// Deposits the response for slot `seq`, then flushes if it is due to.
   void fill(Conn& conn, std::uint64_t seq, Frame frame);
+  /// Answers request `id` in its slot `seq` with an `internal error: …`
+  /// ERROR, then counts and logs it. Every reserved slot must be filled
+  /// once, or no response behind it is written and wait_idle never returns.
+  void fail_request(Conn& conn, std::uint64_t seq, std::uint32_t id,
+                    const std::exception& e);
   /// A response ready on the reader thread: reserve, then fill.
   void respond(Conn& conn, Frame frame) {
     fill(conn, conn.reserve(), std::move(frame));

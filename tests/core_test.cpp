@@ -145,6 +145,32 @@ TEST(JsRevealerConfig, NonDefaultMaxPathsIsRejected) {
   EXPECT_THROW({ JsRevealer det(cfg); }, std::invalid_argument);
 }
 
+TEST(JsRevealerConfig, PathWindowBeyondTheArtifactBoundsIsRejected) {
+  // The artifact stores the window as byte-wide step counts and a width the
+  // slot arithmetic can add without overflow; negatives mean nothing.
+  struct Window {
+    int length;
+    int width;
+    bool valid;
+  };
+  constexpr int kLength = paths::kMaxPathLength;
+  constexpr int kWidth = paths::kMaxPathWidth;
+  for (const Window w :
+       {Window{12, 4, true}, Window{kLength, kWidth, true}, Window{0, 0, true},
+        Window{kLength + 1, 4, false}, Window{12, kWidth + 1, false},
+        Window{-1, 4, false}, Window{12, -1, false}}) {
+    Config cfg;
+    cfg.path.max_length = w.length;
+    cfg.path.max_width = w.width;
+    if (w.valid) {
+      EXPECT_NO_THROW({ JsRevealer det(cfg); }) << w.length << "/" << w.width;
+    } else {
+      EXPECT_THROW({ JsRevealer det(cfg); }, std::invalid_argument)
+          << w.length << "/" << w.width;
+    }
+  }
+}
+
 TEST(JsRevealerConfig, RegularAstAblationTrains) {
   dataset::GeneratorConfig gc;
   gc.seed = 9;

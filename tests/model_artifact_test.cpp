@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -90,6 +91,10 @@ constexpr std::string_view kPinnedVerdicts =
     "1111111110111111011111111111111110111111";
 constexpr std::uint64_t kPinnedFeaturizeDigest = 0x6dd36e47d61b76a5ULL;
 constexpr std::uint64_t kPinnedProvenanceDigest = 0x4a177a73e2e96570ULL;
+// FNV-1a of save_artifact() for small_config() trained on train_corpus(),
+// pinned from the all-pairs path extractor: training must intern the same
+// paths in the same order at every width, not merely agree across widths.
+constexpr std::uint64_t kPinnedArtifactDigest = 0x90b2373a9cec7273ULL;
 
 std::string verdict_string(const std::vector<int>& verdicts) {
   std::string out;
@@ -183,6 +188,13 @@ TEST_F(ArtifactFixture, ArtifactBytesIdenticalAcrossThreadWidths) {
     EXPECT_EQ(trainers_[w]->save_artifact(), *artifact_)
         << "threads=" << kWidths[w];
   }
+}
+
+TEST_F(ArtifactFixture, ArtifactBytesMatchPinnedDigest) {
+  EXPECT_EQ(fnv1a64(std::string_view(
+                reinterpret_cast<const char*>(artifact_->data()),
+                artifact_->size())),
+            kPinnedArtifactDigest);
 }
 
 TEST_F(ArtifactFixture, SaveArtifactIsDeterministic) {
@@ -410,6 +422,43 @@ TEST_F(ArtifactFixture, ResealedUnknownFlagOrReservedFieldIsRejected) {
     std::vector<std::uint8_t> bytes = *artifact_;
     std::memcpy(bytes.data(), &bad, sizeof(bad));
     EXPECT_FALSE(reseal_and_attach(std::move(bytes))) << "field " << field;
+  }
+}
+
+TEST_F(ArtifactFixture, ResealedPathWindowBeyondBoundsIsRejected) {
+  // Up and down step counts are bytes, and the enumeration adds the width
+  // to a 32-bit slot index: a window past either bound cannot be served.
+  struct Window {
+    std::uint32_t length;
+    std::uint32_t width;
+    std::size_t bad_field;  // header offset of the rejected field, or 0
+  };
+  constexpr std::size_t kLength =
+      offsetof(core::fmt::ArtifactHeader, path_max_length);
+  constexpr std::size_t kWidth =
+      offsetof(core::fmt::ArtifactHeader, path_max_width);
+  for (const Window w : {Window{12, 4, 0}, Window{255, 65535, 0},
+                         Window{256, 4, kLength}, Window{0xFFFFFFFFu, 4, kLength},
+                         Window{12, 65536, kWidth},
+                         Window{12, 0x80000000u, kWidth}}) {
+    core::fmt::ArtifactHeader hdr;
+    std::memcpy(&hdr, artifact_->data(), sizeof(hdr));
+    hdr.path_max_length = w.length;
+    hdr.path_max_width = w.width;
+    std::vector<std::uint8_t> bytes = *artifact_;
+    std::memcpy(bytes.data(), &hdr, sizeof(hdr));
+    EXPECT_EQ(reseal_and_attach(bytes), w.bad_field == 0)
+        << w.length << "/" << w.width;
+    if (w.bad_field == 0) continue;
+    core::fmt::seal(bytes.data());
+    core::ModelView view;
+    try {
+      view.from_buffer(std::move(bytes));
+      ADD_FAILURE() << "attached " << w.length << "/" << w.width;
+    } catch (const ser::ModelFormatError& e) {
+      EXPECT_EQ(e.section(), "header");
+      EXPECT_EQ(e.offset(), w.bad_field);
+    }
   }
 }
 

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 
 #include "analysis/dataflow.h"
 #include "analysis/scope.h"
+#include "analysis/script_analysis.h"
+#include "dataset/generator.h"
 #include "js/parser.h"
+#include "js/visitor.h"
+#include "obfuscators/obfuscator.h"
+#include "obs/metrics.h"
 #include "paths/path_extraction.h"
 #include "paths/vocab.h"
 
@@ -192,8 +199,7 @@ TEST(PathExtraction, DirectionMarkersPresent) {
 
 TEST(PathVocab, AddAndLookup) {
   PathVocab vocab;
-  PathContext pc{"@var_int", "Literal^BinaryExpressionvLiteral", "@var_int",
-                 nullptr, nullptr};
+  PathContext pc{"@var_int", "Literal^BinaryExpressionvLiteral", "@var_int"};
   const auto id = vocab.add(pc);
   EXPECT_EQ(vocab.lookup(pc), id);
   EXPECT_EQ(vocab.size(), 1u);
@@ -201,20 +207,20 @@ TEST(PathVocab, AddAndLookup) {
 
 TEST(PathVocab, DuplicateAddReturnsSameId) {
   PathVocab vocab;
-  PathContext pc{"a", "P", "b", nullptr, nullptr};
+  PathContext pc{"a", "P", "b"};
   EXPECT_EQ(vocab.add(pc), vocab.add(pc));
   EXPECT_EQ(vocab.size(), 1u);
 }
 
 TEST(PathVocab, UnknownLookup) {
   PathVocab vocab;
-  PathContext pc{"a", "P", "b", nullptr, nullptr};
+  PathContext pc{"a", "P", "b"};
   EXPECT_EQ(vocab.lookup(pc), PathVocab::kUnknown);
 }
 
 TEST(PathVocab, RepresentativeRoundTrip) {
   PathVocab vocab;
-  PathContext pc{"x", "IdentifiervLiteral", "y", nullptr, nullptr};
+  PathContext pc{"x", "IdentifiervLiteral", "y"};
   const auto id = vocab.add(pc);
   const PathContext& rep = vocab.representative(id);
   EXPECT_EQ(rep.source_value, "x");
@@ -245,6 +251,265 @@ TEST_P(PathSweep, DeterministicAndBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PathSweep, ::testing::Values(1, 3, 7, 15));
+
+// The all-pairs extractor the windowed enumeration replaced, kept as the
+// oracle: every leaf pair in (i, j) order, the common ancestor found from
+// the two root chains, the length and width checks, strings built per
+// path. `values` are the leaves' own values in source order.
+std::vector<PathContext> reference_paths(const js::Node* program,
+                                         const analysis::DataFlowInfo* dataflow,
+                                         const PathConfig& cfg,
+                                         const std::vector<std::string>& values) {
+  struct Chain {
+    const js::Node* node;
+    std::vector<const js::Node*> ancestors;  // leaf first, root last
+    std::vector<int> child_index;            // slot in each ancestor
+  };
+  std::vector<Chain> leaves;
+  for (const js::Node* leaf : js::leaves(program)) {
+    Chain c{leaf, {}, {}};
+    for (const js::Node* cur = leaf; cur != nullptr; cur = cur->parent) {
+      c.ancestors.push_back(cur);
+      if (cur->parent == nullptr) continue;
+      const auto& siblings = cur->parent->children;
+      for (std::size_t k = 0; k < siblings.size(); ++k) {
+        if (siblings[k] == cur) {
+          c.child_index.push_back(static_cast<int>(k));
+          break;
+        }
+      }
+    }
+    leaves.push_back(std::move(c));
+  }
+  EXPECT_EQ(leaves.size(), values.size());
+  const auto symbol = [&](const js::Node* n) {
+    return cfg.use_dataflow && dataflow != nullptr &&
+                   n->kind == js::NodeKind::kIdentifier
+               ? dataflow->canonical_index(n)
+               : -1;
+  };
+  std::vector<PathContext> out;
+  for (std::size_t i = 0; i < leaves.size() && out.size() < cfg.max_paths;
+       ++i) {
+    for (std::size_t j = i + 1;
+         j < leaves.size() && out.size() < cfg.max_paths; ++j) {
+      const Chain& a = leaves[i];
+      const Chain& b = leaves[j];
+      std::size_t ai = a.ancestors.size();
+      std::size_t bi = b.ancestors.size();
+      while (ai > 0 && bi > 0 && a.ancestors[ai - 1] == b.ancestors[bi - 1]) {
+        --ai;
+        --bi;
+      }
+      if (static_cast<int>(ai + bi + 1) > cfg.max_length) continue;
+      if (std::abs(a.child_index[ai - 1] - b.child_index[bi - 1]) >
+          cfg.max_width) {
+        continue;
+      }
+      PathContext pc{values[i], "", values[j]};
+      const int sa = symbol(a.node);
+      const int sb = symbol(b.node);
+      if (sa >= 0 && sb >= 0) {
+        pc.source_value = sa == sb ? "@vs" : "@va";
+        pc.target_value = sa == sb ? "@vs" : "@vb";
+      }
+      for (std::size_t k = 0; k < ai; ++k) {
+        pc.path += js::node_kind_name(a.ancestors[k]->kind);
+        pc.path += '^';
+      }
+      pc.path += js::node_kind_name(a.ancestors[ai]->kind);
+      for (std::size_t k = bi; k > 0; --k) {
+        pc.path += 'v';
+        pc.path += js::node_kind_name(b.ancestors[k - 1]->kind);
+      }
+      out.push_back(std::move(pc));
+    }
+  }
+  return out;
+}
+
+// The enumeration must reproduce the reference under every (max_length,
+// max_width) window and max_paths cap, both leaf-value modes, and give the
+// reference's vocabulary ids through the record lookups.
+void expect_matches_reference(const js::Node* root,
+                              const analysis::DataFlowInfo* flow,
+                              const std::string& what) {
+  struct Window {
+    int length;
+    int width;
+  };
+  for (const bool use_dataflow : {true, false}) {
+    for (const Window w : {Window{12, 4}, Window{4, 1}, Window{8, 100}}) {
+      PathConfig cfg;
+      cfg.use_dataflow = use_dataflow;
+      cfg.max_length = w.length;
+      cfg.max_width = w.width;
+      const PathSet full = enumerate_paths(root, flow, cfg);
+      std::vector<std::string> values;
+      if (use_dataflow) {
+        for (const js::Node* leaf : js::leaves(root)) {
+          values.push_back(leaf_value(leaf, flow));
+        }
+      } else {
+        for (const PathSet::Leaf& leaf : full.leaves()) {
+          values.push_back(leaf.value);
+        }
+      }
+      const std::vector<PathContext> ref =
+          reference_paths(root, flow, cfg, values);
+      const std::string where = what + " dataflow=" +
+                                std::to_string(use_dataflow) + " window " +
+                                std::to_string(w.length) + "/" +
+                                std::to_string(w.width);
+      ASSERT_EQ(full.size(), std::min<std::size_t>(ref.size(), cfg.max_paths))
+          << where;
+      // A vocabulary holding every other reference path: hits and misses.
+      PathVocab vocab;
+      for (std::size_t k = 0; k < ref.size(); k += 2) vocab.add(ref[k]);
+      const PathVocabView view = vocab.view();
+      for (const std::size_t cap : {1u, 7u, 100u, 20000u}) {
+        cfg.max_paths = cap;
+        const PathSet set = enumerate_paths(root, flow, cfg);
+        ASSERT_EQ(set.size(), std::min(cap, ref.size())) << where;
+        const std::vector<std::int32_t> ids = view.lookup_all(set);
+        for (std::size_t k = 0; k < set.size(); ++k) {
+          const PathContext pc = set.context(k);
+          ASSERT_EQ(pc.source_value, ref[k].source_value) << where << " #" << k;
+          ASSERT_EQ(pc.path, ref[k].path) << where << " #" << k;
+          ASSERT_EQ(pc.target_value, ref[k].target_value) << where << " #" << k;
+          ASSERT_EQ(set.hash(k), fnv1a64(ref[k].key())) << where << " #" << k;
+          const std::int32_t want = view.lookup(ref[k]);
+          if (k % 2 == 0) {
+            ASSERT_NE(want, PathVocab::kUnknown) << where << " #" << k;
+          }
+          ASSERT_EQ(ids[k], want) << where << " #" << k;
+        }
+      }
+      const std::vector<PathContext> rendered = extract_paths(root, flow, cfg);
+      ASSERT_EQ(rendered.size(), std::min<std::size_t>(ref.size(), 20000));
+    }
+  }
+}
+
+TEST(PathOracle, MatchesAllPairsOverObfuscatedAndNormalizedCorpus) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 4242;
+  gc.benign_count = 6;
+  gc.malicious_count = 6;
+  const dataset::Corpus corpus = dataset::generate_corpus(gc);
+  std::vector<std::string> scripts;
+  for (const auto& s : corpus.samples) scripts.push_back(s.source);
+  for (const obf::ObfuscatorKind kind : obf::kAllObfuscators) {
+    const auto ob = obf::make_obfuscator(kind);
+    for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
+      scripts.push_back(ob->obfuscate(corpus.samples[i].source, 900 + i));
+    }
+  }
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    for (const bool deob : {false, true}) {
+      const analysis::ScriptAnalysis a(scripts[i], {}, deob);
+      if (a.parse_failed()) continue;
+      expect_matches_reference(a.root(), &a.dataflow(),
+                               "script " + std::to_string(i) +
+                                   (deob ? " deob" : ""));
+      if (HasFatalFailure()) return;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, scripts.size());  // most variants parse
+}
+
+TEST(PathOracle, MatchesAllPairsAcrossNullChildSlots) {
+  // Holes count as slots for width: array holes, an empty for header, a
+  // test-less default case, an argument-less return.
+  for (const char* src : {
+           "var a = [1, , 2, , , x, y];",
+           "for (;;) { if (z) break; f(z); }",
+           "switch (k) { case 1: f(k); break; default: g(); }",
+           "function h(q) { if (q) return; return q + 1; }",
+           "var b = [, , , u]; for (var i = 0; ; i++) { b[i] = i; }",
+       }) {
+    const Extracted e = extract(src);
+    expect_matches_reference(e.ast.root, &e.flow, src);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PathOracle, RejectsWindowsBeyondTheRecordFields) {
+  const js::Ast ast = js::parse("var a = 1;");
+  PathConfig cfg;
+  cfg.max_length = kMaxPathLength + 1;
+  EXPECT_THROW(enumerate_paths(ast.root, nullptr, cfg), std::invalid_argument);
+  cfg.max_length = kMaxPathLength;
+  cfg.max_width = kMaxPathWidth + 1;
+  EXPECT_THROW(enumerate_paths(ast.root, nullptr, cfg), std::invalid_argument);
+  cfg.max_width = kMaxPathWidth;
+  EXPECT_GT(enumerate_paths(ast.root, nullptr, cfg).size(), 0u);
+}
+
+// The five growth families of the cost gate, at scale k.
+std::string growth_family(int family, int k) {
+  std::string s;
+  switch (family) {
+    case 0:  // isolated deep leaves: no two within a path's reach
+      for (int i = 0; i < 8 * k; ++i) s += "[[[[[[[[[[[[[x]]]]]]]]]]]]];\n";
+      break;
+    case 1:  // one long member chain
+      s = "var r = o";
+      for (int i = 0; i < 16 * k; ++i) s += ".m" + std::to_string(i);
+      s += ";\n";
+      break;
+    case 2:  // one wide object literal
+      s = "var o = {";
+      for (int i = 0; i < 16 * k; ++i) {
+        s += "k" + std::to_string(i) + ": " + std::to_string(i) + ", ";
+      }
+      s += "};\n";
+      break;
+    case 3:  // a string-array decoder and its calls
+      s = "var _0xa = [";
+      for (int i = 0; i < 16 * k; ++i) s += "\"s" + std::to_string(i) + "\", ";
+      s += "];\nfunction _0xd(i) { return _0xa[i - 0]; }\n";
+      for (int i = 0; i < 16 * k; ++i) {
+        s += "console.log(_0xd(" + std::to_string(i) + "));\n";
+      }
+      break;
+    default:  // one long switch
+      s = "switch (x) {\n";
+      for (int i = 0; i < 8 * k; ++i) {
+        s += "  case " + std::to_string(i) + ": f(" + std::to_string(i) +
+             "); break;\n";
+      }
+      s += "  default: g();\n}\n";
+      break;
+  }
+  return s;
+}
+
+// Cost gate on the deterministic counter, not wall time: the steps the
+// enumeration takes per leaf and emitted path stay under one constant as
+// each family grows 64-fold (the all-pairs scan's ratio grew with size,
+// to 256 on the deep-leaf family at 64x).
+TEST(PathEnumeration, StepsPerLeafAndPathStayBoundedAsFamiliesGrow) {
+  constexpr double kMaxStepsPerItem = 4.0;
+  obs::Counter* counter = obs::metrics().counter("paths.pairs_visited");
+  for (int family = 0; family < 5; ++family) {
+    for (int k = 1; k <= 64; k *= 2) {
+      const Extracted e = extract(growth_family(family, k));
+      const std::uint64_t before = counter->value();
+      const PathSet set = enumerate_paths(e.ast.root, &e.flow);
+      EXPECT_EQ(counter->value() - before, set.pairs_visited());
+      const double items =
+          static_cast<double>(set.leaves().size() + set.size());
+      EXPECT_LE(static_cast<double>(set.pairs_visited()) / items,
+                kMaxStepsPerItem)
+          << "family " << family << " at " << k << "x: "
+          << set.pairs_visited() << " steps, " << set.leaves().size()
+          << " leaves, " << set.size() << " paths";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace jsrev::paths

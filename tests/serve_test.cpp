@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <new>
 #include <mutex>
@@ -41,15 +42,21 @@
 #include "serve/server.h"
 #include "util/thread_pool.h"
 
-// Allocation-failure injection: the next allocation of at least this many
-// bytes on the current thread throws std::bad_alloc, as running out of
-// memory would, and the trap disarms. Unarmed, these are malloc and free.
+// Allocation-failure injection: once `g_fail_alloc_skip` allocations of at
+// least `g_fail_alloc_at_least` bytes have gone through on the current
+// thread, the next one throws std::bad_alloc, as running out of memory
+// would, and the trap disarms. Unarmed, these are malloc and free.
 thread_local std::size_t g_fail_alloc_at_least = SIZE_MAX;
+thread_local std::size_t g_fail_alloc_skip = 0;
 
 void* operator new(std::size_t size) {
   if (size >= g_fail_alloc_at_least) {
-    g_fail_alloc_at_least = SIZE_MAX;
-    throw std::bad_alloc();
+    if (g_fail_alloc_skip > 0) {
+      --g_fail_alloc_skip;
+    } else {
+      g_fail_alloc_at_least = SIZE_MAX;
+      throw std::bad_alloc();
+    }
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -810,6 +817,66 @@ TEST_F(ServeFixture, ReaderFailureStopsWritesBeforeItsFdCloses) {
             internal_before);
 
   for (const int fd : {sv[0], sv[1], pipe_fds[0], pipe_fds[1]}) ::close(fd);
+}
+
+// Every allocation the reader makes for a classify, up to and including
+// its hand-off to the Batcher, fails once: the skip count walks the trap
+// across them until the first request gets its verdict. Whichever one
+// fails — the connection's state, the read buffer, the completion's storage
+// after the response slot was reserved — the client hears about its
+// requests in order, and serve_fd returns at EOF. A slot reserved and never
+// filled would hold back every response behind it and hang serve_fd.
+TEST_F(ServeFixture, HandOffFailureStillAnswersInRequestOrder) {
+  bool first_answered = false;
+  bool failure_answered = false;
+  for (std::size_t skip = 0; skip < 64 && !first_answered; ++skip) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    serve::ServeOptions opts;
+    opts.threads = 1;
+    auto server = std::make_unique<serve::Server>(*model_, opts);
+    std::promise<void> returned;
+    std::future<void> serve_returned = returned.get_future();
+    std::thread reader([&server, &returned, fd = sv[0], skip] {
+      g_fail_alloc_skip = skip;
+      g_fail_alloc_at_least = 1;
+      server->serve_fd(fd, fd);
+      g_fail_alloc_at_least = SIZE_MAX;
+      g_fail_alloc_skip = 0;
+      returned.set_value();
+    });
+
+    std::string wire;
+    serve::append_frame(classify_frame(1, "var x = 1;"), &wire);
+    serve::append_frame(classify_frame(2, "var y = 2;"), &wire);
+    (void)::write(sv[1], wire.data(), wire.size());  // fails if it is gone
+    ::shutdown(sv[1], SHUT_WR);
+    // Bounded: a stranded slot never lets serve_fd return.
+    if (serve_returned.wait_for(std::chrono::seconds(20)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "serve_fd did not return (trap after " << skip
+                    << " allocations)";
+      reader.detach();       // blocked for good: leave it and its server
+      (void)server.release();
+      return;
+    }
+    reader.join();
+    ::close(sv[0]);
+    const std::vector<serve::Frame> frames = read_frames(sv[1], 2);
+    ::close(sv[1]);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i].id, i + 1) << "skip " << skip;
+      if (frames[i].type == serve::FrameType::kError) {
+        EXPECT_EQ(frames[i].payload.rfind("internal error", 0), 0u)
+            << frames[i].payload;
+        failure_answered = true;
+      }
+    }
+    first_answered =
+        !frames.empty() && frames[0].type == serve::FrameType::kVerdict;
+  }
+  EXPECT_TRUE(first_answered) << "the sweep never got past the hand-off";
+  EXPECT_TRUE(failure_answered) << "no failure reached the client";
 }
 
 // One worker and room for one waiting request: the one-liners sent behind

@@ -4,7 +4,7 @@
 // script through all four obfuscator models), mutations are driven by
 // util::Rng, and every run is bit-reproducible from --seed.
 //
-// Five oracles are checked per input:
+// Six oracles are checked per input:
 //   O1 never-crash: lex→parse terminates with a tree or a structured
 //      LexError/ParseError — any other exception (or a sanitizer abort,
 //      when built with JSR_SANITIZE=ON) is a finding;
@@ -31,6 +31,12 @@
 //      classify every probe with no crash and no exception (the verdict may
 //      change: the parameters did). Runs once up front, like the O5
 //      verdict sweep.
+//   O7 paths: for input that parses, under both the enhanced-AST and the
+//      regular-AST path config, every enumerated path's streamed key hash
+//      equals fnv1a64 of its rendered key, its id in the O6 model's
+//      vocabulary (lookup_all) equals the id of its rendered PathContext,
+//      and the enumeration's steps per leaf and path stay under the cost
+//      gate's constant (tests/paths_test.cpp).
 //
 // Usage:
 //   $ jsr_fuzz --seed 1 --iters 2000            # CI smoke configuration
@@ -61,6 +67,8 @@
 #include "obfuscators/obfuscator.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "paths/path_extraction.h"
+#include "paths/vocab.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 #include "util/rng.h"
@@ -72,6 +80,10 @@ namespace {
 using namespace jsrev;
 
 constexpr std::size_t kMaxInputBytes = 1u << 16;  // cap mutation growth
+
+// O7's ceiling on paths.pairs_visited per (leaf + path): the cost gate's
+// constant in tests/paths_test.cpp.
+constexpr double kMaxStepsPerItem = 4.0;
 
 // Fragments the mutator splices in: escape-sequence and delimiter edge
 // cases the grammar is most likely to mishandle.
@@ -102,6 +114,9 @@ struct Stats {
   std::uint64_t o5_checked = 0;
   std::uint64_t o5_verdicts = 0;
   std::uint64_t o6_checked = 0;
+  std::uint64_t o7_checked = 0;  // (input, path config) pairs
+  std::uint64_t o7_paths = 0;    // paths compared
+  double o7_max_steps = 0.0;     // largest steps per (leaf + path) seen
   std::uint64_t failures = 0;
 
   /// Mirrors the run's outcome counters into the process-wide metrics
@@ -117,6 +132,7 @@ struct Stats {
     reg.counter("fuzz.oracle.deob_checked")->add(o5_checked);
     reg.counter("fuzz.oracle.deob_verdicts_checked")->add(o5_verdicts);
     reg.counter("fuzz.oracle.artifact_checked")->add(o6_checked);
+    reg.counter("fuzz.oracle.paths_checked")->add(o7_checked);
     reg.counter("fuzz.findings")->add(failures);
   }
 };
@@ -277,8 +293,10 @@ void run_verdict_sweep(const Options& opt, Stats& stats) {
 /// touches alignment padding changes nothing observable). Any other
 /// exception, a crash, or a silent verdict change is a finding. A resealed
 /// mutant that loads may change verdicts but must featurize and classify
-/// every probe without an exception.
-void run_artifact_sweep(const Options& opt, Stats& stats) {
+/// every probe without an exception. Returns the pristine artifact (O7
+/// probes its vocabulary).
+std::vector<std::uint8_t> run_artifact_sweep(const Options& opt,
+                                             Stats& stats) {
   dataset::GeneratorConfig gc;
   gc.seed = opt.seed ^ 0xa271f0ULL;
   gc.benign_count = 20;
@@ -396,6 +414,64 @@ void run_artifact_sweep(const Options& opt, Stats& stats) {
     core::fmt::seal(resealed.data());
     check_mutant(std::move(resealed), "resealed payload bit flip", true);
   }
+  return artifact;
+}
+
+/// O7 over one parsed input: streamed path keys agree with rendered ones,
+/// and the enumeration's cost stays linear.
+void check_paths(const std::string& input, const js::ParseLimits& limits,
+                 const paths::PathVocabView& vocab, Stats& stats) {
+  try {
+    const analysis::ScriptAnalysis sa(input, limits);
+    for (const bool use_dataflow : {true, false}) {
+      ++stats.o7_checked;
+      paths::PathConfig cfg;
+      cfg.use_dataflow = use_dataflow;
+      const paths::PathSet set = paths::enumerate_paths(
+          sa.root(), use_dataflow ? &sa.dataflow() : nullptr, cfg);
+      const std::vector<std::int32_t> ids = vocab.lookup_all(set);
+      const char* mode = use_dataflow ? "enhanced AST" : "regular AST";
+      for (std::size_t k = 0; k < set.size(); ++k) {
+        ++stats.o7_paths;
+        const paths::PathContext pc = set.context(k);
+        if (set.hash(k) != fnv1a64(pc.key())) {
+          report_failure(stats, "O7-paths",
+                         std::string(mode) + ": streamed hash differs for " +
+                             printable(pc.key()),
+                         input);
+          return;
+        }
+        const std::int32_t want = vocab.lookup(pc);
+        if (ids[k] != want) {
+          report_failure(stats, "O7-paths",
+                         std::string(mode) + ": record id differs from " +
+                             "the rendered key's for " + printable(pc.key()),
+                         input);
+          return;
+        }
+      }
+      const double items =
+          static_cast<double>(set.leaves().size() + set.size());
+      const double steps = static_cast<double>(set.pairs_visited());
+      if (items > 0) {
+        stats.o7_max_steps = std::max(stats.o7_max_steps, steps / items);
+      }
+      if (steps > kMaxStepsPerItem * items) {
+        report_failure(stats, "O7-paths",
+                       std::string(mode) + ": " +
+                           std::to_string(set.pairs_visited()) +
+                           " enumeration steps for " +
+                           std::to_string(set.leaves().size()) +
+                           " leaves and " + std::to_string(set.size()) +
+                           " paths",
+                       input);
+        return;
+      }
+    }
+  } catch (const std::exception& e) {
+    report_failure(stats, "O7-paths", std::string("threw: ") + e.what(),
+                   input);
+  }
 }
 
 int run(const Options& opt) {
@@ -415,7 +491,8 @@ int run(const Options& opt) {
                 static_cast<unsigned long long>(stats.o5_verdicts),
                 static_cast<unsigned long long>(stats.failures));
   }
-  run_artifact_sweep(opt, stats);
+  core::ModelView o6_model;
+  o6_model.from_buffer(run_artifact_sweep(opt, stats));
   if (!opt.quiet) {
     std::printf("  O6 artifact sweep: %llu checks, %llu findings\n",
                 static_cast<unsigned long long>(stats.o6_checked),
@@ -517,6 +594,9 @@ int run(const Options& opt) {
                        std::string("deobfuscate_source threw: ") + e.what(),
                        input);
       }
+
+      // --- O7: streamed path keys equal rendered ones; linear cost -----
+      check_paths(input, limits, o6_model.vocab(), stats);
     }
 
     // --- O4: lint is total, and agrees with parse on failure ----------
@@ -547,7 +627,8 @@ int run(const Options& opt) {
   std::printf(
       "jsr_fuzz: seed=%llu iters=%llu corpus=%zu | %llu parse-ok, "
       "%llu parse-fail | O2 on %llu, O3 on %llu, O5 on %llu (+%llu verdicts) "
-      "| O6 on %llu | %.2fs (%.0f execs/s) | %llu findings\n",
+      "| O6 on %llu | O7 on %llu (%llu paths, <= %.2f steps each) | %.2fs "
+      "(%.0f execs/s) | %llu findings\n",
       static_cast<unsigned long long>(opt.seed),
       static_cast<unsigned long long>(stats.execs), corpus.size(),
       static_cast<unsigned long long>(stats.parse_ok),
@@ -556,7 +637,10 @@ int run(const Options& opt) {
       static_cast<unsigned long long>(stats.o3_checked),
       static_cast<unsigned long long>(stats.o5_checked),
       static_cast<unsigned long long>(stats.o5_verdicts),
-      static_cast<unsigned long long>(stats.o6_checked), secs, rate,
+      static_cast<unsigned long long>(stats.o6_checked),
+      static_cast<unsigned long long>(stats.o7_checked),
+      static_cast<unsigned long long>(stats.o7_paths), stats.o7_max_steps,
+      secs, rate,
       static_cast<unsigned long long>(stats.failures));
 
   stats.publish();
@@ -574,6 +658,9 @@ int run(const Options& opt) {
         .kv("deob_checked", stats.o5_checked)
         .kv("deob_verdicts_checked", stats.o5_verdicts)
         .kv("artifact_checked", stats.o6_checked)
+        .kv("paths_checked", stats.o7_checked)
+        .kv("paths_compared", stats.o7_paths)
+        .kv_fixed("paths_max_steps_per_item", stats.o7_max_steps, 3)
         .kv_fixed("wall_s", secs, 3)
         .kv_fixed("execs_per_sec", rate, 1)
         .kv("findings", stats.failures)
