@@ -7,7 +7,7 @@
 namespace jsrev::core {
 
 FamilyClassifier::FamilyClassifier(std::size_t threads) : threads_(threads) {
-  ml::MulticlassForestConfig fc;
+  ml::ForestConfig fc;
   fc.threads = threads;
   forest_ = ml::MulticlassRandomForest(fc);
 }
@@ -39,24 +39,20 @@ std::size_t FamilyClassifier::train(const ModelView& detector,
       // left empty: skipped during compaction
     }
   });
-
-  ml::Matrix x(malicious.size(), detector.feature_count());
-  std::vector<int> y(malicious.size());
   std::size_t used = 0;
   for (std::size_t i = 0; i < malicious.size(); ++i) {
     if (feats[i].empty()) continue;
-    std::copy(feats[i].begin(), feats[i].end(), x.row(used));
-    y[used] = label_.at(malicious[i]->family);
-    ++used;
+    malicious[used] = malicious[i];
+    feats[used++].swap(feats[i]);
   }
-  // Shrink to the rows actually filled.
-  ml::Matrix xs(used, detector.feature_count());
-  for (std::size_t i = 0; i < used; ++i) {
-    std::copy(x.row(i), x.row(i) + x.cols(), xs.row(i));
-  }
-  y.resize(used);
 
-  forest_.fit(xs, y);
+  ml::Matrix x(used, detector.feature_count());
+  std::vector<int> y(used);
+  for (std::size_t i = 0; i < used; ++i) {
+    std::copy(feats[i].begin(), feats[i].end(), x.row(i));
+    y[i] = label_.at(malicious[i]->family);
+  }
+  forest_.fit(x, y);
   trained_ = true;
   return used;
 }

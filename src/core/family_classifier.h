@@ -2,7 +2,7 @@
 // ("our future work will add a JavaScript malware family component").
 //
 // Reuses a trained model's cluster-feature space (a trained JsRevealer or a
-// mapped artifact, both ModelViews): a multiclass random forest is trained
+// mapped artifact, both ModelViews): a K-class random forest is trained
 // over the feature vectors of the MALICIOUS training samples with their
 // family labels. At inference the binary detector decides malicious/benign;
 // this component names the family.
@@ -14,7 +14,7 @@
 
 #include "core/model_view.h"
 #include "dataset/corpus.h"
-#include "ml/multiclass_forest.h"
+#include "ml/decision_tree.h"
 
 namespace jsrev::core {
 

@@ -1,9 +1,12 @@
-// CART decision tree (gini impurity) and bagged random forest with
-// mean-decrease-impurity feature importances (used for Table VII).
+// CART decision trees (gini impurity) and bagged random forests: the binary
+// forest with mean-decrease-impurity feature importances (the detector,
+// Table VII) and the K-class forest of the malware family classifier (the
+// paper's future-work extension).
 //
-// Both build straight into the JSRM artifact's node records (ForestNodeRec)
-// and predict through ForestView, the walk a mapped model runs, so a trainer
-// and every process mapping its artifact share one forest walk.
+// One builder grows every tree straight into the JSRM artifact's node
+// records (ForestNodeRec), and every prediction finds its leaves through
+// ForestView, the walk a mapped model runs, so a trainer and every process
+// mapping its artifact share one forest walk.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +14,6 @@
 
 #include "ml/classifier.h"
 #include "ml/model_view_ops.h"
-#include "util/rng.h"
 
 namespace jsrev::ml {
 
@@ -22,10 +24,30 @@ struct TreeConfig {
   std::uint64_t seed = 5;
 };
 
+/// A grown forest in the artifact's layout: every tree's preorder nodes
+/// (tree-relative child indices) concatenated in tree order, and a
+/// prefix-offset table (tree t owns nodes [offsets[t], offsets[t+1])). An
+/// unfitted forest has no nodes and offsets {0}.
+struct ForestPool {
+  std::vector<ForestNodeRec> nodes;
+  std::vector<std::uint32_t> offsets{0};
+  /// K-class forests only: one row of n_classes class shares per node.
+  std::vector<double> distributions;
+  /// Impurity decrease per feature (unnormalized), summed in tree order.
+  std::vector<double> importance;
+  std::uint32_t n_features = 0;
+
+  ForestView view() const {
+    return {nodes.data(), offsets.data(),
+            static_cast<std::uint32_t>(offsets.size() - 1), n_features};
+  }
+};
+
 class DecisionTree : public Classifier {
  public:
   explicit DecisionTree(TreeConfig cfg = {});
 
+  /// Labels must be 0 or 1, one per row (std::invalid_argument otherwise).
   void fit(const Matrix& x, const std::vector<int>& y) override;
   int predict(const double* row) const override;
   std::string name() const override { return "DecisionTree"; }
@@ -34,25 +56,17 @@ class DecisionTree : public Classifier {
   double predict_proba(const double* row) const;
 
   /// Accumulated impurity decrease per feature (unnormalized).
-  const std::vector<double>& impurity_decrease() const { return importance_; }
-
-  /// Fits on a row subset (bootstrap support for the forest).
-  void fit_subset(const Matrix& x, const std::vector<int>& y,
-                  const std::vector<std::size_t>& rows);
+  const std::vector<double>& impurity_decrease() const {
+    return pool_.importance;
+  }
 
   /// The tree's nodes in build order (preorder, tree-relative child
   /// indices): one tree of the artifact's node pool.
-  const std::vector<ForestNodeRec>& nodes() const { return nodes_; }
+  const std::vector<ForestNodeRec>& nodes() const { return pool_.nodes; }
 
  private:
-  int build(const Matrix& x, const std::vector<int>& y,
-            std::vector<std::size_t>& rows, std::size_t begin,
-            std::size_t end, int depth, Rng& rng);
-
   TreeConfig cfg_;
-  std::vector<ForestNodeRec> nodes_;
-  std::vector<double> importance_;
-  std::size_t n_features_ = 0;
+  ForestPool pool_;
 };
 
 struct ForestConfig {
@@ -70,6 +84,7 @@ class RandomForest : public Classifier {
  public:
   explicit RandomForest(ForestConfig cfg = {});
 
+  /// Labels must be 0 or 1, one per row (std::invalid_argument otherwise).
   void fit(const Matrix& x, const std::vector<int>& y) override;
   int predict(const double* row) const override;
   std::string name() const override { return "RandomForest"; }
@@ -79,19 +94,35 @@ class RandomForest : public Classifier {
   /// Normalized mean-decrease-impurity importances (sums to 1).
   std::vector<double> feature_importances() const;
 
-  /// The forest in the artifact's layout: every tree's nodes() concatenated
-  /// in tree order, and a prefix-offset table (tree t owns nodes
-  /// [offsets[t], offsets[t+1])). An unfitted forest has no nodes and
-  /// offsets {0}.
-  const std::vector<ForestNodeRec>& nodes() const { return nodes_; }
-  const std::vector<std::uint32_t>& offsets() const { return offsets_; }
+  /// The forest in the artifact's layout (see ForestPool).
+  const std::vector<ForestNodeRec>& nodes() const { return pool_.nodes; }
+  const std::vector<std::uint32_t>& offsets() const { return pool_.offsets; }
 
  private:
   ForestConfig cfg_;
-  std::vector<ForestNodeRec> nodes_;
-  std::vector<std::uint32_t> offsets_{0};
-  std::vector<double> importance_;  // per-tree decreases, summed in tree order
-  std::size_t n_features_ = 0;
+  ForestPool pool_;
+};
+
+/// K-class random forest over labels 0..K-1, where K = max label + 1.
+class MulticlassRandomForest {
+ public:
+  explicit MulticlassRandomForest(ForestConfig cfg = {});
+
+  /// Labels must be non-negative, one per row (std::invalid_argument
+  /// otherwise).
+  void fit(const Matrix& x, const std::vector<int>& y);
+  int predict(const double* row) const;
+
+  /// The reached leaves' class distributions, averaged in tree order (size
+  /// n_classes).
+  std::vector<double> predict_distribution(const double* row) const;
+
+  int n_classes() const { return n_classes_; }
+
+ private:
+  ForestConfig cfg_;
+  ForestPool pool_;
+  int n_classes_ = 0;
 };
 
 }  // namespace jsrev::ml

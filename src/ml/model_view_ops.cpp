@@ -88,20 +88,23 @@ std::vector<double> PathTableView::cluster_features(
   return f;
 }
 
+std::uint32_t ForestView::leaf(std::uint32_t t, const double* row) const {
+  const ForestNodeRec* base = nodes + offsets[t];
+  const ForestNodeRec* cur = base;
+  while (cur->feature >= 0) {
+    cur = base + (row[static_cast<std::size_t>(cur->feature)] <= cur->threshold
+                      ? cur->left
+                      : cur->right);
+  }
+  return static_cast<std::uint32_t>(cur - nodes);
+}
+
 double ForestView::predict_proba(const double* row) const {
   if (n_trees == 0) return 0.0;
   double s = 0.0;
   for (std::uint32_t t = 0; t < n_trees; ++t) {
-    const ForestNodeRec* base = nodes + offsets[t];
     if (offsets[t + 1] == offsets[t]) continue;  // empty tree contributes 0
-    const ForestNodeRec* cur = base;
-    while (cur->feature >= 0) {
-      cur = base + (row[static_cast<std::size_t>(cur->feature)] <=
-                            cur->threshold
-                        ? cur->left
-                        : cur->right);
-    }
-    s += cur->p_malicious;
+    s += nodes[leaf(t, row)].p_malicious;
   }
   return s / static_cast<double>(n_trees);
 }

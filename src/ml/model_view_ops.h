@@ -86,8 +86,12 @@ struct ForestView {
   std::uint32_t n_trees = 0;
   std::uint32_t n_features = 0;
 
-  /// Mean leaf probability across trees, summed in tree order. The one
-  /// forest walk: RandomForest and DecisionTree predict through it too.
+  /// Index into `nodes` of the leaf `row` reaches in tree t, which must own
+  /// at least one node. The one forest walk: DecisionTree and the binary
+  /// and K-class forests all predict through it.
+  std::uint32_t leaf(std::uint32_t t, const double* row) const;
+
+  /// Mean leaf probability across trees, summed in tree order.
   double predict_proba(const double* row) const;
   int predict(const double* row) const {
     return predict_proba(row) >= 0.5 ? 1 : 0;

@@ -1,15 +1,18 @@
-// Tests for the extension components: multiclass forest, cluster-quality
+// Tests for the extension components: K-class forest, cluster-quality
 // criteria (silhouette / gap statistic), the malware family classifier
 // (the paper's future-work item), and the feature-design ablation flags.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string_view>
 
 #include "core/family_classifier.h"
 #include "core/jsrevealer.h"
 #include "dataset/generator.h"
 #include "ml/cluster_quality.h"
-#include "ml/multiclass_forest.h"
+#include "ml/decision_tree.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace jsrev {
@@ -37,22 +40,74 @@ MultiBlobs make_blobs3(std::size_t per_class, std::uint64_t seed) {
   return b;
 }
 
-TEST(MulticlassTree, SeparatesThreeBlobs) {
-  const MultiBlobs b = make_blobs3(40, 1);
-  ml::MulticlassDecisionTree tree;
-  tree.fit(b.x, b.y);
-  int correct = 0;
-  for (std::size_t i = 0; i < b.x.rows(); ++i) {
-    correct += tree.predict(b.x.row(i)) == b.y[i];
+// K classes over small-integer features, so every split scan meets tied
+// values; the label follows features 0 and 1, and one row in six takes a
+// random class instead.
+MultiBlobs make_tied_classes(std::size_t n, int k, std::uint64_t seed) {
+  Rng rng(seed);
+  MultiBlobs b;
+  b.x = ml::Matrix(n, 4);
+  b.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      b.x(i, j) = static_cast<double>(rng.below(5));
+    }
+    const int rule =
+        (static_cast<int>(b.x(i, 0)) + static_cast<int>(b.x(i, 1)) / 2) % k;
+    b.y[i] = rng.below(6) == 0
+                 ? static_cast<int>(rng.below(static_cast<std::uint64_t>(k)))
+                 : rule;
   }
-  EXPECT_GE(correct, static_cast<int>(b.x.rows()) - 2);
+  return b;
 }
 
-TEST(MulticlassTree, DistributionSumsToOne) {
+template <typename T>
+std::uint64_t fold(std::uint64_t h, const T& v) {
+  return fnv1a64_step(
+      h, std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
+}
+
+// FNV-1a digests of a 12-tree K-class forest fitted on
+// make_tied_classes(90, K, 40 + K): every predict_distribution() value and
+// then predict() of each training row, then of each row of
+// make_tied_classes(40, K, 80 + K). One digest per K in kPinnedK.
+constexpr int kPinnedK[] = {1, 2, 3, 6};
+constexpr std::uint64_t kPinnedClassForestDigests[] = {
+    0x346a5e3c3e1ea715ULL, 0x29157b721a05021fULL, 0xe07366da8175e08bULL,
+    0x0382a299ce51eeeeULL};
+
+TEST(MulticlassForest, DistributionsPinnedAtEveryWidth) {
+  for (std::size_t i = 0; i < std::size(kPinnedK); ++i) {
+    const int k = kPinnedK[i];
+    const MultiBlobs train = make_tied_classes(90, k, 40 + k);
+    const MultiBlobs fresh = make_tied_classes(40, k, 80 + k);
+    for (const std::size_t threads : {1, 3}) {
+      ml::ForestConfig cfg;
+      cfg.n_trees = 12;
+      cfg.threads = threads;
+      ml::MulticlassRandomForest forest(cfg);
+      forest.fit(train.x, train.y);
+      std::uint64_t h = fnv1a64_begin();
+      for (const ml::Matrix* x : {&train.x, &fresh.x}) {
+        for (std::size_t r = 0; r < x->rows(); ++r) {
+          for (const double v : forest.predict_distribution(x->row(r))) {
+            h = fold(h, v);
+          }
+          h = fold(h, forest.predict(x->row(r)));
+        }
+      }
+      EXPECT_EQ(h, kPinnedClassForestDigests[i])
+          << "K=" << k << " threads=" << threads << std::hex
+          << " digest=" << h;
+    }
+  }
+}
+
+TEST(MulticlassForest, DistributionSumsToOne) {
   const MultiBlobs b = make_blobs3(30, 2);
-  ml::MulticlassDecisionTree tree;
-  tree.fit(b.x, b.y);
-  const auto& dist = tree.predict_distribution(b.x.row(0));
+  ml::MulticlassRandomForest forest;
+  forest.fit(b.x, b.y);
+  const std::vector<double> dist = forest.predict_distribution(b.x.row(0));
   ASSERT_EQ(dist.size(), 3u);
   double sum = 0;
   for (const double v : dist) sum += v;
@@ -187,6 +242,36 @@ TEST_F(FamilyFixture, ConfusionRowsNormalized) {
     for (const double v : row) sum += v;
     EXPECT_TRUE(sum == 0.0 || std::abs(sum - 1.0) < 1e-9);
   }
+}
+
+// FNV-1a digests of the family classifier's outputs: the predicted family
+// of every sample of the fixture's corpus and then of a fresh corpus (seed
+// 27), each name followed by a NUL; and the confusion matrices over the
+// same two corpora, row by row.
+constexpr std::uint64_t kPinnedFamilyPredictions = 0x5cd8701f9608e66fULL;
+constexpr std::uint64_t kPinnedFamilyConfusion = 0x782f919d3d337d1dULL;
+
+TEST_F(FamilyFixture, PredictionsAndConfusionPinned) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 27;
+  gc.benign_count = 20;
+  gc.malicious_count = 60;
+  const dataset::Corpus fresh = dataset::generate_corpus(gc);
+  std::uint64_t predictions = fnv1a64_begin();
+  std::uint64_t confusion = fnv1a64_begin();
+  const dataset::Corpus* corpora[] = {corpus_, &fresh};
+  for (const dataset::Corpus* corpus : corpora) {
+    for (const auto& s : corpus->samples) {
+      predictions = fnv1a64_step(predictions,
+                                 classifier_->classify(*detector_, s.source));
+      predictions = fnv1a64_step(predictions, std::string_view("", 1));
+    }
+    for (const auto& row : classifier_->confusion(*detector_, *corpus)) {
+      for (const double v : row) confusion = fold(confusion, v);
+    }
+  }
+  EXPECT_EQ(predictions, kPinnedFamilyPredictions) << std::hex << predictions;
+  EXPECT_EQ(confusion, kPinnedFamilyConfusion) << std::hex << confusion;
 }
 
 TEST_F(FamilyFixture, ClassifyReturnsKnownFamily) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "ml/attention_model.h"
@@ -14,6 +16,8 @@
 #include "ml/naive_bayes.h"
 #include "ml/outlier.h"
 #include "ml/scaler.h"
+#include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace jsrev::ml {
@@ -40,6 +44,36 @@ Blobs make_blobs(std::size_t per_class, std::size_t d, double separation,
   }
   return b;
 }
+
+// Two classes over small-integer features, so every split scan meets tied
+// values; a noisy rule over features 0 and 2 sets the label.
+Blobs make_tied(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Blobs b;
+  b.x = Matrix(n, 5);
+  b.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      b.x(i, j) = static_cast<double>(rng.below(6));
+    }
+    const bool rule = b.x(i, 0) + b.x(i, 2) > 5.0;
+    b.y[i] = rule != (rng.below(8) == 0) ? 1 : 0;
+  }
+  return b;
+}
+
+template <typename T>
+std::uint64_t fold(std::uint64_t h, const T& v) {
+  return fnv1a64_step(
+      h, std::string_view(reinterpret_cast<const char*>(&v), sizeof(T)));
+}
+
+// FNV-1a digests over make_tied(160, 31) of the trees behind Table II and
+// Table VII, which kPinnedArtifactDigest (model_artifact_test) does not
+// cover: a Table II DecisionTree's nodes() then impurity_decrease(), and a
+// default RandomForest's nodes() then feature_importances().
+constexpr std::uint64_t kPinnedTreeDigest = 0x572b3584ba8323fbULL;
+constexpr std::uint64_t kPinnedForestDigest = 0x16aa9bbb15a47e9bULL;
 
 TEST(Metrics, PerfectPrediction) {
   const Metrics m = compute_metrics({1, 0, 1, 0}, {1, 0, 1, 0});
@@ -359,6 +393,76 @@ TEST(RandomForest, ImportanceConcentratesOnInformativeFeature) {
   forest.fit(x, y);
   const auto imp = forest.feature_importances();
   EXPECT_GT(imp[0], 0.8);
+}
+
+TEST(DecisionTree, NodesAndImpurityDecreasePinned) {
+  const Blobs b = make_tied(160, 31);
+  auto tree = make_classifier(ClassifierKind::kDecisionTree, 1);
+  tree->fit(b.x, b.y);
+  const auto& dt = dynamic_cast<const DecisionTree&>(*tree);
+  std::uint64_t h = fnv1a64_begin();
+  for (const ForestNodeRec& node : dt.nodes()) h = fold(h, node);
+  for (const double v : dt.impurity_decrease()) h = fold(h, v);
+  EXPECT_EQ(h, kPinnedTreeDigest) << std::hex << h;
+}
+
+TEST(RandomForest, NodesAndImportancesPinnedAtEveryWidth) {
+  const Blobs b = make_tied(160, 31);
+  for (const std::size_t threads : {1, 3}) {
+    ForestConfig cfg;
+    cfg.threads = threads;
+    RandomForest forest(cfg);
+    forest.fit(b.x, b.y);
+    std::uint64_t h = fnv1a64_begin();
+    for (const ForestNodeRec& node : forest.nodes()) h = fold(h, node);
+    for (const double v : forest.feature_importances()) h = fold(h, v);
+    EXPECT_EQ(h, kPinnedForestDigest) << "threads=" << threads << std::hex
+                                      << " digest=" << h;
+  }
+}
+
+// The builder counts labels by index, so a label it cannot count, or a
+// label vector that does not cover every row, must stop the fit.
+TEST(DecisionTree, RejectsLabelsItCannotCount) {
+  const Matrix x(4, 2);
+  DecisionTree tree;
+  EXPECT_THROW(tree.fit(x, {0, 1, 0}), std::invalid_argument);
+  EXPECT_THROW(tree.fit(x, {0, 1, 0, 1, 0}), std::invalid_argument);
+  EXPECT_THROW(tree.fit(x, {0, 1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(tree.fit(x, {0, -1, 1, 0}), std::invalid_argument);
+}
+
+TEST(RandomForest, RejectsLabelsItCannotCount) {
+  const Matrix x(4, 2);
+  RandomForest forest;
+  EXPECT_THROW(forest.fit(x, {0, 1, 0}), std::invalid_argument);
+  EXPECT_THROW(forest.fit(x, {0, 1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW(forest.fit(x, {0, -1, 1, 0}), std::invalid_argument);
+}
+
+TEST(MulticlassRandomForest, RejectsLabelsItCannotCount) {
+  const Matrix x(4, 2);
+  MulticlassRandomForest forest;
+  EXPECT_THROW(forest.fit(x, {0, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(forest.fit(x, {0, 1, 2, 3, 4}), std::invalid_argument);
+  EXPECT_THROW(forest.fit(x, {0, 5, -1, 2}), std::invalid_argument);
+  forest.fit(x, {0, 5, 1, 2});  // K = 6: labels need not all occur
+  EXPECT_EQ(forest.n_classes(), 6);
+  // A rejected fit keeps the fitted forest whole.
+  EXPECT_THROW(forest.fit(x, {0, 9, -1, 2}), std::invalid_argument);
+  EXPECT_EQ(forest.n_classes(), 6);
+  EXPECT_EQ(forest.predict_distribution(x.row(0)).size(), 6u);
+}
+
+TEST(RandomForest, FitBooksItsTreesOnTheForestCounter) {
+  obs::Counter* trees = obs::metrics().counter("ml.forest.trees_trained");
+  const std::uint64_t before = trees->value();
+  ForestConfig cfg;
+  cfg.n_trees = 7;
+  RandomForest forest(cfg);
+  const Blobs b = make_blobs(20, 3, 3.0, 17);
+  forest.fit(b.x, b.y);
+  EXPECT_EQ(trees->value() - before, 7u);
 }
 
 TEST(LinearSvm, DecisionFunctionSign) {
