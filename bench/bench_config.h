@@ -4,9 +4,9 @@
 // tens of minutes on a laptop-class CPU. The paper's full protocol
 // (20k+20k training samples, 5 repeats) can be approached by raising the
 // environment variables:
-//   JSREV_BENCH_CORPUS  — generated samples per class      (default 320)
-//   JSREV_BENCH_TRAIN   — training samples per class       (default 220)
-//   JSREV_BENCH_REPEATS — protocol repetitions to average  (default 3)
+//   JSREV_BENCH_CORPUS  — generated samples per class      (default 280)
+//   JSREV_BENCH_TRAIN   — training samples per class       (default 190)
+//   JSREV_BENCH_REPEATS — protocol repetitions to average  (default 2)
 #pragma once
 
 #include <cstdlib>

@@ -686,7 +686,7 @@ class AstArena {
   const TreeStore& store() const noexcept { return *store_; }
 
   /// Heap footprint (nodes + child pool + atoms) for the obs gauges and
-  /// bench_ast_layout.
+  /// ast_layout_test's bytes/node bound.
   std::size_t memory_bytes() const noexcept { return store_->memory_bytes(); }
 
  private:

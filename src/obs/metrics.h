@@ -21,7 +21,7 @@
 //
 // The whole subsystem can be switched off (set_metrics_enabled(false)):
 // mutations become a single relaxed atomic load + branch, which is what the
-// obs-off condition of bench_obs_overhead measures.
+// obs-off condition of bench_timing_gates's metrics gate measures.
 #pragma once
 
 #include <array>

@@ -226,6 +226,17 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+/// A JSON count: an integer in [0, 2^64). Anything else has no uint64 value,
+/// and casting it would be undefined.
+bool parse_count(const JsonValue& v, std::uint64_t* out) {
+  if (v.kind != JsonValue::Kind::kNumber || !(v.number >= 0.0) ||
+      v.number >= 18446744073709551616.0 || v.number != std::floor(v.number)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v.number);
+  return true;
+}
+
 }  // namespace
 
 bool samples_from_metrics_json(std::string_view json,
@@ -283,8 +294,10 @@ bool samples_from_metrics_json(std::string_view json,
         if (count == nullptr || count->kind != JsonValue::Kind::kNumber) {
           return fail(error, s.name + ": missing count");
         }
+        if (!parse_count(*count, &s.count)) {
+          return fail(error, s.name + ": count is not an integer in [0, 2^64)");
+        }
         // Deterministic snapshots omit summary sums (wall time); render 0.
-        s.count = static_cast<std::uint64_t>(count->number);
         s.sum = sum != nullptr && sum->kind == JsonValue::Kind::kNumber
                     ? sum->number
                     : 0.0;
@@ -305,7 +318,10 @@ bool samples_from_metrics_json(std::string_view json,
             if (b.kind != JsonValue::Kind::kNumber) {
               return fail(error, s.name + ": non-numeric bucket");
             }
-            s.buckets.push_back(static_cast<std::uint64_t>(b.number));
+            if (!parse_count(b, &s.buckets.emplace_back())) {
+              return fail(error,
+                          s.name + ": bucket is not an integer in [0, 2^64)");
+            }
           }
         }
         break;

@@ -44,7 +44,8 @@ std::string render_prometheus(const Registry& registry);
 
 /// Rebuilds sample rows from a Registry::to_json() document (the drained
 /// snapshot a STATS frame or `jsr_stats --metrics` produces). Returns false
-/// and fills `error` when the document does not carry the expected shape.
+/// and fills `error` when the document does not carry the expected shape,
+/// or when a count or bucket is not an integer in [0, 2^64).
 bool samples_from_metrics_json(std::string_view json,
                                std::vector<MetricSample>* out,
                                std::string* error = nullptr);

@@ -1,10 +1,12 @@
 // Admin telemetry plane tests: Prometheus exposition (mapping rules, label
 // escaping, cumulative le buckets, the snapshot-JSON round trip that pins
-// "one exporter, two consumers" byte-identical), the structured log layer
-// (levels, sink capture, per-site rate limiting), the AdminServer's HTTP
-// containment contract (400/404/405/431 cost one connection, never the
-// server), the Batcher's slow-request record, and the readiness story:
-// /readyz flips to 503 strictly before a QUIT's kBye confirms the drain.
+// "one exporter, two consumers" byte-identical, and the snapshot's count
+// range checks), the structured log layer (levels, sink capture, per-site
+// rate limiting), the AdminServer's HTTP containment contract
+// (400/404/405/431 cost one connection, never the server), the Batcher's
+// slow-request record, daemon verdicts equal to the library's while
+// /metrics is scraped, and the readiness story: /readyz flips to 503
+// strictly before a QUIT's kBye confirms the drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -303,6 +305,44 @@ TEST(Prometheus, SnapshotJsonRoundTripIsByteIdentical) {
 
   EXPECT_EQ(direct, via_json);
   EXPECT_TRUE(obs::validate_prometheus_text(direct, &error)) << error;
+}
+
+// A snapshot can come from outside the process (`jsr_stats --prom-from
+// FILE`, a STATS payload), so a count or a bucket that is not an integer in
+// [0, 2^64) is an error that names its metric, never a cast.
+TEST(Prometheus, SnapshotJsonRejectsCountsOutOfRange) {
+  const auto snapshot = [](const std::string& type, const std::string& count,
+                           const std::string& bucket) {
+    return "{\"metrics\":[{\"name\":\"jsr.x\",\"type\":\"" + type +
+           "\",\"unit\":\"count\",\"count\":" + count +
+           ",\"sum\":1,\"bounds\":[1],\"buckets\":[" + bucket + ",0]}]}";
+  };
+  std::vector<obs::MetricSample> rows;
+  std::string error;
+  for (const char* type : {"summary", "histogram"}) {
+    EXPECT_TRUE(obs::samples_from_metrics_json(snapshot(type, "2", "2"), &rows,
+                                               &error))
+        << error;
+    // The largest double below 2^64.
+    EXPECT_TRUE(obs::samples_from_metrics_json(
+        snapshot(type, "18446744073709549568", "0"), &rows, &error))
+        << error;
+    for (const char* count :
+         {"-1", "1e300", "18446744073709551616", "1.5", "-0.5"}) {
+      error.clear();
+      EXPECT_FALSE(obs::samples_from_metrics_json(snapshot(type, count, "0"),
+                                                  &rows, &error))
+          << type << " count " << count;
+      EXPECT_NE(error.find("jsr.x"), std::string::npos) << error;
+    }
+  }
+  for (const char* bucket : {"-3", "1e300", "18446744073709551616", "0.5"}) {
+    error.clear();
+    EXPECT_FALSE(obs::samples_from_metrics_json(
+        snapshot("histogram", "2", bucket), &rows, &error))
+        << "bucket " << bucket;
+    EXPECT_NE(error.find("jsr.x"), std::string::npos) << error;
+  }
 }
 
 TEST(Prometheus, ValidatorCatchesStructuralLies) {
@@ -741,6 +781,86 @@ TEST_F(AdminServeFixture, SlowRequestDrawsOneCorrelatedLogRecord) {
     EXPECT_GT(doc->find("latency_ms")->number, 0.0) << line;
   }
   EXPECT_EQ(records, 1);
+}
+
+// Telemetry observes and never perturbs: with the admin plane armed and
+// /metrics scraped while requests stream through the daemon, every verdict
+// equals the library's and every scrape is a valid exposition.
+TEST_F(AdminServeFixture, VerdictsMatchLibraryWhileMetricsAreScraped) {
+  dataset::GeneratorConfig eval;
+  eval.seed = 727272;
+  eval.benign_count = 16;
+  eval.malicious_count = 16;
+  std::vector<std::string> scripts;
+  for (const auto& s : dataset::generate_corpus(eval).samples) {
+    scripts.push_back(s.source);
+  }
+  scripts.push_back("function broken( {");
+  const std::vector<int> library = model_->classify_all(scripts);
+
+  serve::ServeOptions opts;
+  opts.threads = 2;
+  serve::Server server(*model_, opts);
+  serve::register_build_info(*model_, *model_path_);
+  obs::AdminServer admin;
+  admin.listen_tcp(0);
+  admin.set_ready_check([&server] { return server.ready(); });
+  admin.start();
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(admin.bound_port());
+  const auto scrape = [&endpoint] {
+    std::string body, error;
+    ASSERT_EQ(obs::admin_http_get(endpoint, "/metrics", &body, &error), 200)
+        << error;
+    EXPECT_TRUE(obs::validate_prometheus_text(body, &error)) << error;
+  };
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::thread serve_thread([&server, fd = sv[1]] { server.serve_fd(fd, fd); });
+
+  // Scrape after every fourth request sent, while the workers run the
+  // earlier ones, and after every fourth verdict read.
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    serve::Frame f;
+    f.type = serve::FrameType::kClassify;
+    f.id = static_cast<std::uint32_t>(i + 1);
+    f.payload = scripts[i];
+    const std::string bytes = serve::encode_frame(f);
+    ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    if (i % 4 == 0) scrape();
+  }
+  std::vector<int> daemon(scripts.size(), -1);
+  std::size_t verdicts = 0;
+  std::string stream;
+  char chunk[4096];
+  while (verdicts < scripts.size()) {
+    const ssize_t n = ::read(sv[0], chunk, sizeof(chunk));
+    ASSERT_GT(n, 0) << "EOF after " << verdicts << " verdicts";
+    stream.append(chunk, static_cast<std::size_t>(n));
+    serve::Frame f;
+    std::size_t consumed = 0;
+    while (serve::decode_frame(stream, 1 << 20, &f, &consumed) ==
+           serve::DecodeStatus::kOk) {
+      stream.erase(0, consumed);
+      if (f.type != serve::FrameType::kVerdict) continue;
+      ASSERT_TRUE(f.id >= 1 && f.id <= scripts.size() && !f.payload.empty());
+      daemon[f.id - 1] = f.payload[0] - '0';
+      if (++verdicts % 4 == 0) scrape();
+    }
+  }
+  EXPECT_EQ(daemon, library);
+
+  serve::Frame quit;
+  quit.type = serve::FrameType::kQuit;
+  const std::string bytes = serve::encode_frame(quit);
+  ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  serve_thread.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  admin.stop();
 }
 
 TEST_F(AdminServeFixture, ReadyzFlips503BeforeQuitsBye) {

@@ -7,6 +7,8 @@
 //  * parse -> compact -> print -> reparse preserves ast_equal and the
 //    fingerprint over 500 generated + obfuscated scripts, at thread widths
 //    1/2/8 with bit-identical results,
+//  * the same 500 scripts take at most 0.75x the pointer-heavy layout's heap
+//    bytes per node,
 //  * an uncompacted clone fingerprints/prints identically before and after
 //    its own compaction,
 //  * the arena gauges advance while trees are alive.
@@ -114,6 +116,23 @@ TEST(AstLayout, RoundTripPreservedAcrossThreadWidths) {
       EXPECT_EQ(fps, reference) << "fingerprints diverge at width " << width;
     }
   }
+}
+
+// The compact layout holds the property corpus in at most three quarters of
+// the 104.86 heap bytes per node that the pointer-heavy layout took on it
+// (75.3 at the time of writing).
+TEST(AstLayout, BytesPerNodeStayBelowThreeQuartersOfPointerLayout) {
+  constexpr double kPointerLayoutBytesPerNode = 104.86;
+  std::size_t nodes = 0;
+  std::size_t bytes = 0;
+  for (const std::string& src : property_corpus()) {
+    const Ast ast = parse(src);
+    nodes += static_cast<std::size_t>(count_nodes(ast.root));
+    bytes += ast.arena.memory_bytes();
+  }
+  ASSERT_GT(nodes, 0u);
+  EXPECT_LE(static_cast<double>(bytes) / static_cast<double>(nodes),
+            0.75 * kPointerLayoutBytesPerNode);
 }
 
 // clone() rebuilds the tree in a fresh arena in build-mode (chunked) storage;

@@ -267,6 +267,7 @@ TEST_F(LintRules, LintAllDeterministicAcrossWidths) {
   auto fingerprint = [](const std::vector<LintResult>& rs) {
     std::string fp;
     for (const LintResult& r : rs) {
+      if (r.parse_failed) fp += "!parse;";
       for (const Diagnostic& d : r.diagnostics) {
         fp += d.rule_id + ":" + std::to_string(d.line) + ";";
       }
@@ -277,6 +278,7 @@ TEST_F(LintRules, LintAllDeterministicAcrossWidths) {
   const std::string serial = fingerprint(linter_.lint_all(sources, 1));
   EXPECT_EQ(fingerprint(linter_.lint_all(sources, 2)), serial);
   EXPECT_EQ(fingerprint(linter_.lint_all(sources, 4)), serial);
+  EXPECT_EQ(fingerprint(linter_.lint_all(sources, 8)), serial);
 }
 
 // ---- property: never throws on obfuscated output -------------------------

@@ -1,9 +1,11 @@
 // Tests for the observability layer: metrics registry primitives, the JSON
 // toolkit (writer, parser, BENCH envelope, Chrome-trace validation), span
-// tracing, per-verdict provenance, and the two cross-cutting invariants the
+// tracing, per-verdict provenance, and the three cross-cutting invariants the
 // subsystem promises —
 //  * deterministic_json() is byte-identical at thread widths 1/2/8 for a
-//    fixed workload, and
+//    fixed workload,
+//  * classify_all's verdicts do not depend on whether metrics or tracing
+//    are on, and
 //  * each stage books its stage_ms{stage} sample once, where its work runs:
 //    re-classifying a warm corpus books no second parse.
 #include <gtest/gtest.h>
@@ -430,6 +432,33 @@ TEST(ObsDeterminism, DeterministicJsonByteIdenticalAcrossThreadWidths) {
   EXPECT_EQ(exports[0], exports[2]) << "width 1 vs 8";
   std::string error;
   EXPECT_TRUE(obs::json_valid(exports[0], &error)) << error;
+}
+
+// Telemetry observes and never perturbs: classify_all returns the same
+// verdicts with metrics off, with metrics on, and with span tracing on too.
+TEST(ObsDeterminism, VerdictsIdenticalWithMetricsAndTracingOnOrOff) {
+  const dataset::Split split = small_split(24, 12, 77);
+  std::vector<std::string> sources;
+  for (const auto& s : split.test.samples) sources.push_back(s.source);
+  sources.push_back("function ( {{{");
+  core::Config cfg;
+  cfg.seed = 7;
+  cfg.lint_features = true;
+  core::JsRevealer det(cfg);
+  det.train(split.train);
+
+  obs::set_metrics_enabled(false);
+  const std::vector<int> obs_off = det.classify_all(sources);
+  obs::set_metrics_enabled(true);
+  const std::vector<int> metrics_on = det.classify_all(sources);
+  obs::Tracer::global().set_enabled(true);
+  const std::vector<int> tracing_on = det.classify_all(sources);
+  obs::Tracer::global().set_enabled(false);
+  obs::Tracer::global().clear();
+
+  ASSERT_EQ(obs_off.size(), sources.size());
+  EXPECT_EQ(metrics_on, obs_off);
+  EXPECT_EQ(tracing_on, obs_off);
 }
 
 TEST(Provenance, ExplainFillsRecordAndRendersValidJson) {

@@ -279,20 +279,37 @@ TEST(SharedAnalysisIntegration, FeaturizeParsesExactlyOnce) {
 }
 
 // Acceptance: a five-detector evaluation over a shared AnalyzedCorpus
-// parses each script exactly once (in analyze_corpus) and never again.
+// parses each script exactly once (in analyze_corpus) and never again. The
+// same evaluation over the raw corpus costs four parses per script (CUJO only
+// lexes), and every detector's confusion matrix is the same either way.
 TEST(SharedAnalysisIntegration, MultiDetectorEvaluationParsesOncePerScript) {
   const SharedFixture& f = SharedFixture::instance();
   dataset::Corpus subset;
   subset.samples.assign(f.merged.samples.begin(),
                         f.merged.samples.begin() + 40);
+  std::vector<const detect::Detector*> detectors = {f.jsrevealer.get()};
+  for (const auto& d : f.baselines) detectors.push_back(d.get());
+  const auto cells = [](const ml::Metrics& m) {
+    return std::vector<std::size_t>{m.cm.tp, m.cm.tn, m.cm.fp, m.cm.fn};
+  };
+
+  std::vector<std::vector<std::size_t>> uncached;
+  const std::uint64_t before_uncached = js::parse_invocations();
+  for (const detect::Detector* d : detectors) {
+    uncached.push_back(cells(d->evaluate(subset)));
+  }
+  EXPECT_EQ(js::parse_invocations() - before_uncached,
+            4 * subset.samples.size());
 
   const std::uint64_t before_build = js::parse_invocations();
   const analysis::AnalyzedCorpus analyzed = detect::analyze_corpus(subset);
   EXPECT_EQ(js::parse_invocations() - before_build, subset.samples.size());
 
   const std::uint64_t before_eval = js::parse_invocations();
-  (void)f.jsrevealer->evaluate(analyzed);
-  for (const auto& d : f.baselines) (void)d->evaluate(analyzed);
+  for (std::size_t i = 0; i < detectors.size(); ++i) {
+    EXPECT_EQ(cells(detectors[i]->evaluate(analyzed)), uncached[i])
+        << detectors[i]->name();
+  }
   EXPECT_EQ(js::parse_invocations() - before_eval, 0u);
 }
 
