@@ -16,14 +16,18 @@
 //   2. admin scrape: a 10 Hz GET /metrics scrape costs <= 2% of daemon
 //      saturation throughput; minimum paired ratio over 7 interleaved
 //      unscraped/scraped rounds.
-//   3. metrics: classify_all with metrics on costs < 5% over obs off; best
-//      of 3 each. Metrics + tracing is reported, not gated.
+//   3. metrics: classify_all with metrics on costs < 5% over obs off;
+//      minimum paired ratio over 7 interleaved obs-off/metrics-on passes.
+//      The ratio of each condition's best of its first 3 passes (the
+//      statistic this gate used before) is printed beside it, and metrics +
+//      tracing is reported; neither is gated.
 //   4. AST layout: parse and full-tree visit stay >= 0.8x the 2.83M and
 //      49.5M nodes/s recorded for the pointer-heavy layout; best of 5 each.
 //
 // Prints every reading and exits 1 when a gate fails. What must hold
 // regardless of timing (verdicts across widths, daemon vs library, telemetry
 // on vs off, bytes/node) is asserted by ctest.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -67,7 +71,7 @@ constexpr double kBaselineVisitNodesPerSec = 49515018.0;
 constexpr double kThroughputFloor = 0.8;
 
 constexpr std::size_t kOpenRepeats = 5;
-constexpr std::size_t kScrapePairs = 7;
+constexpr std::size_t kPairs = 7;
 constexpr std::size_t kObsRepeats = 3;
 constexpr std::size_t kAstRepeats = 5;
 
@@ -101,6 +105,48 @@ double best_of(std::size_t repeats, Once&& once) {
     if (r == 0 || ms < best) best = ms;
   }
   return best;
+}
+
+/// Each round's wall time in ms (<= 0 when the round failed), in pair order.
+struct Paired {
+  std::vector<double> base;
+  std::vector<double> treated;
+
+  /// The smallest treated / base ratio of a pair.
+  double min_ratio() const {
+    double m = treated[0] / base[0];
+    for (std::size_t r = 1; r < base.size(); ++r) {
+      m = std::min(m, treated[r] / base[r]);
+    }
+    return m;
+  }
+};
+
+/// The fastest of the first `n` rounds in `ms`.
+double fastest(const std::vector<double>& ms, std::size_t n) {
+  return *std::min_element(ms.begin(), ms.begin() + std::min(n, ms.size()));
+}
+
+/// kPairs adjacent (base, treated) rounds, the treated round first in every
+/// other pair. The machine's CPU allotment drifts in multi-second epochs;
+/// adjacent rounds share an epoch, so each pair's ratio cancels the drift,
+/// and the minimum ratio fires only on overhead every pair shows.
+template <typename Base, typename Treated>
+Paired paired_rounds(Base&& base, Treated&& treated) {
+  Paired p;
+  for (std::size_t r = 0; r < kPairs; ++r) {
+    double b = 0.0, t = 0.0;
+    for (int leg = 0; leg < 2; ++leg) {
+      if ((leg == 1) == (r % 2 == 0)) {
+        t = treated();
+      } else {
+        b = base();
+      }
+    }
+    p.base.push_back(b);
+    p.treated.push_back(t);
+  }
+  return p;
 }
 
 /// One saturation round through the daemon on `fd`: every script as a
@@ -248,40 +294,44 @@ void open_gate(const std::string& path, std::vector<Gate>* gates) {
                     speedup >= kRequiredOpenSpeedup});
 }
 
-/// Gate 3: classify_all with obs off, metrics on, metrics + tracing on.
+/// Gate 3: classify_all with obs off vs metrics on, in adjacent pairs
+/// (paired_rounds); metrics + tracing on is timed after them, not gated.
 void metrics_gate(const core::JsRevealer& model,
                   const std::vector<std::string>& scripts,
                   std::vector<Gate>* gates) {
   (void)model.classify_all(scripts);  // warm-up, outside every clock
-  double ms[3] = {};
-  for (int c = 0; c < 3; ++c) {
-    obs::set_metrics_enabled(c > 0);
-    obs::Tracer::global().set_enabled(c == 2);
-    ms[c] = best_of(kObsRepeats, [&] {
-      obs::Tracer::global().clear();  // bounds the ring across repeats
-      const Timer t;
-      (void)model.classify_all(scripts);
-      return t.elapsed_ms();
-    });
-  }
+  const auto pass = [&](bool metrics, bool trace) {
+    obs::set_metrics_enabled(metrics);
+    obs::Tracer::global().set_enabled(trace);
+    obs::Tracer::global().clear();  // bounds the ring across passes
+    const Timer t;
+    (void)model.classify_all(scripts);
+    return t.elapsed_ms();
+  };
+  const Paired p = paired_rounds([&] { return pass(false, false); },
+                                 [&] { return pass(true, false); });
+  const double traced_best =
+      best_of(kObsRepeats, [&] { return pass(true, true); });
   obs::set_metrics_enabled(true);
   obs::Tracer::global().set_enabled(false);
   obs::Tracer::global().clear();
 
-  const double metrics_pct = (ms[1] / ms[0] - 1.0) * 100.0;
-  std::printf("classify_all: obs off %.1f ms, metrics on %.1f ms, "
-              "metrics+trace on %.1f ms (%+.2f%%, not gated)\n",
-              ms[0], ms[1], ms[2], (ms[2] / ms[0] - 1.0) * 100.0);
-  gates->push_back({"metrics-on overhead", fmt(metrics_pct, 2) + "%",
+  const double metrics_pct = (p.min_ratio() - 1.0) * 100.0;
+  const double off_best = fastest(p.base, kObsRepeats);
+  const double on_best = fastest(p.treated, kObsRepeats);
+  std::printf("classify_all, best of the first %zu passes: obs off %.1f ms, "
+              "metrics on %.1f ms (%+.2f%%, not gated), metrics+trace on "
+              "%.1f ms (%+.2f%%, not gated)\n",
+              kObsRepeats, off_best, on_best, (on_best / off_best - 1.0) * 100.0,
+              traced_best, (traced_best / off_best - 1.0) * 100.0);
+  gates->push_back({"metrics-on overhead (min paired)",
+                    fmt(metrics_pct, 2) + "%",
                     "< " + fmt(kMetricsOverheadLimitPct, 0) + "%",
                     metrics_pct < kMetricsOverheadLimitPct});
 }
 
 /// Gate 2: daemon saturation rounds over a socketpair with the admin plane
-/// armed, in adjacent unscraped/scraped pairs (order alternating). The
-/// machine's CPU allotment drifts in multi-second epochs; adjacent rounds
-/// share an epoch, so each pair's ratio cancels the drift, and the minimum
-/// fires only on overhead every pair shows.
+/// armed, unscraped vs scraped, in adjacent pairs (paired_rounds).
 void scrape_gate(const core::ModelView& model, const std::string& model_path,
                  const std::vector<std::string>& scripts,
                  std::vector<Gate>* gates) {
@@ -301,29 +351,23 @@ void scrape_gate(const core::ModelView& model, const std::string& model_path,
   }
   std::thread daemon([&server, fd = sv[0]] { server.serve_fd(fd, fd); });
   // First contact pays allocator and page-cache costs of neither condition.
-  bool complete = saturation_round(sv[1], scripts) > 0.0;
+  const bool warmed = saturation_round(sv[1], scripts) > 0.0;
 
-  double min_ratio = 0.0, quiet_best = 0.0, scraped_best = 0.0;
   std::size_t scrapes = 0, failures = 0;
-  for (std::size_t r = 0; r < kScrapePairs; ++r) {
-    double quiet = 0.0, scraped = 0.0;
-    for (int leg = 0; leg < 2; ++leg) {
-      if ((leg == 1) == (r % 2 == 0)) {
+  const Paired p = paired_rounds(
+      [&] { return saturation_round(sv[1], scripts); },
+      [&] {
         Scraper scraper(endpoint);
-        scraped = saturation_round(sv[1], scripts);
+        const double ms = saturation_round(sv[1], scripts);
         scraper.join();
         scrapes += scraper.scrapes;
         failures += scraper.failures;
-      } else {
-        quiet = saturation_round(sv[1], scripts);
-      }
-    }
-    complete = complete && quiet > 0.0 && scraped > 0.0;
-    const double ratio = scraped / quiet;
-    if (r == 0 || ratio < min_ratio) min_ratio = ratio;
-    if (r == 0 || quiet < quiet_best) quiet_best = quiet;
-    if (r == 0 || scraped < scraped_best) scraped_best = scraped;
-  }
+        return ms;
+      });
+  // A failed round reads <= 0, so the fastest of each side shows it.
+  const double quiet_best = fastest(p.base, kPairs);
+  const double scraped_best = fastest(p.treated, kPairs);
+  const bool complete = warmed && quiet_best > 0.0 && scraped_best > 0.0;
 
   serve::Frame quit;
   quit.type = serve::FrameType::kQuit;
@@ -334,7 +378,7 @@ void scrape_gate(const core::ModelView& model, const std::string& model_path,
   ::close(sv[0]);
   ::close(sv[1]);
 
-  const double overhead = min_ratio - 1.0;
+  const double overhead = p.min_ratio() - 1.0;
   std::printf("daemon rounds (%zu scripts): unscraped best %.1f ms, scraped "
               "@ %.0f Hz best %.1f ms; %zu scrapes, %zu failed\n",
               scripts.size(), quiet_best, kScrapeHz, scraped_best, scrapes,

@@ -115,4 +115,32 @@ ResultGrid run_grid(const HarnessConfig& cfg,
   return grid;
 }
 
+std::vector<int> refit_verdicts(const core::ModelView& model,
+                                ml::ClassifierKind kind,
+                                const dataset::Corpus& train,
+                                const dataset::Corpus& test,
+                                std::uint64_t seed, std::size_t threads) {
+  const auto rows = [&](const dataset::Corpus& corpus,
+                        std::vector<std::size_t>* used) {
+    std::vector<const dataset::Sample*> samples;
+    samples.reserve(corpus.samples.size());
+    for (const auto& s : corpus.samples) samples.push_back(&s);
+    return model.featurize_rows(samples, model.threads(), used);
+  };
+  std::vector<std::size_t> used;
+  const ml::Matrix x = rows(train, &used);
+  std::vector<int> y;
+  y.reserve(used.size());
+  for (const std::size_t i : used) y.push_back(train.samples[i].label);
+  const auto classifier = ml::make_classifier(kind, seed, threads);
+  classifier->fit(x, y);
+
+  const ml::Matrix x_test = rows(test, &used);
+  std::vector<int> verdicts(test.samples.size(), 1);  // no row: malicious
+  for (std::size_t r = 0; r < used.size(); ++r) {
+    verdicts[used[r]] = classifier->predict(x_test.row(r));
+  }
+  return verdicts;
+}
+
 }  // namespace jsrev::bench

@@ -17,6 +17,7 @@
 #include "baselines/detector.h"
 #include "core/jsrevealer.h"
 #include "dataset/generator.h"
+#include "ml/classifier.h"
 #include "ml/metrics.h"
 #include "obfuscators/obfuscator.h"
 
@@ -65,6 +66,18 @@ dataset::Corpus obfuscate_corpus(const dataset::Corpus& corpus,
 /// Runs the full protocol for the given detectors over all conditions.
 ResultGrid run_grid(const HarnessConfig& cfg,
                     const std::vector<DetectorFactory>& factories);
+
+/// Table II's verdicts for a classifier other than the detector's own
+/// forest: fits `kind` (ml::make_classifier with `seed` and `threads`) on
+/// the rows `model` featurizes from `train`, then predicts each script of
+/// `test` from its row. A test script that does not featurize is predicted
+/// malicious, as the detector classifies it; a training script that does
+/// not featurize is left out.
+std::vector<int> refit_verdicts(const core::ModelView& model,
+                                ml::ClassifierKind kind,
+                                const dataset::Corpus& train,
+                                const dataset::Corpus& test,
+                                std::uint64_t seed, std::size_t threads);
 
 /// Formats a percentage like the paper's tables ("99.4").
 std::string pct(double fraction);

@@ -25,9 +25,10 @@ echo "== ctest (ASan+UBSan)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
       -E '^script_analysis_test$'
 
-# The shared-analysis equivalence suite (string vs ScriptAnalysis paths,
-# parse-count accounting, thread widths 1/2/8) runs as its own step so a
-# sanitizer finding in the parse-once layer is attributed unambiguously.
+# The parse-once suite (one memoized ScriptAnalysis shared by concurrent
+# consumers, parse-count accounting, verdicts over a shared AnalyzedCorpus
+# equal to per-call analyses at thread widths 1/2/8) runs as its own step so
+# a sanitizer finding in the parse-once layer is attributed unambiguously.
 echo "== script_analysis equivalence (ASan+UBSan)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
       -R '^script_analysis_test$'
@@ -267,6 +268,14 @@ echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"
 echo "== bench_deob smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_CORPUS=40 JSREV_BENCH_TRAIN=24 \
     JSREV_BENCH_REPEATS=1 ./bench/bench_deob)
+
+# Table II at smoke scale: one trained detector, then SVM, LR, DT and GNB
+# refitted on the rows its model featurizes, so the refit path
+# (ModelView::featurize_rows, bench::refit_verdicts) runs under the
+# sanitizers.
+echo "== bench_table2_classifiers smoke (ASan+UBSan)"
+(cd "${BUILD_DIR}" && JSREV_BENCH_CORPUS=40 JSREV_BENCH_TRAIN=24 \
+    JSREV_BENCH_REPEATS=1 ./bench/bench_table2_classifiers)
 
 # Repository benchmark self-test: perfbench/run.py builds its own copy of
 # src/ and tools/jsr_serve (RelWithDebInfo, under .bench_build/, not this

@@ -60,12 +60,6 @@ const Node* enclosing_statement(const Node* n) {
 
 }  // namespace
 
-std::size_t Pdg::control_edge_count() const {
-  std::size_t n = 0;
-  for (const auto& node : nodes_) n += node.control_succs.size();
-  return n;
-}
-
 std::size_t Pdg::data_edge_count() const {
   std::size_t n = 0;
   for (const auto& node : nodes_) n += node.data_succs.size();

@@ -33,7 +33,6 @@ class Pdg {
     return it == index_.end() ? npos : it->second;
   }
 
-  std::size_t control_edge_count() const;
   std::size_t data_edge_count() const;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -71,10 +71,6 @@ void Cujo::train(const dataset::Corpus& corpus) {
   svm_.fit(x, y);
 }
 
-int Cujo::classify(const std::string& source) const {
-  return classify(analysis::ScriptAnalysis(source));
-}
-
 int Cujo::classify(const analysis::ScriptAnalysis& analysis) const {
   const std::vector<js::Token>* tokens = analysis.tokens();
   if (tokens == nullptr) {

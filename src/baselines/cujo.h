@@ -26,9 +26,9 @@ class Cujo final : public Detector {
   explicit Cujo(CujoConfig cfg = {});
 
   void train(const dataset::Corpus& corpus) override;
-  int classify(const std::string& source) const override;
-  /// CUJO is token-level: the shared-analysis path consumes the memoized
-  /// token stream and never forces a parse, so a script that lexes but does
+  using Detector::classify;
+  /// CUJO is token-level: it consumes the analysis' memoized token stream
+  /// and never forces a parse, so a script that lexes but does
   /// not parse is still classified by the model (as the real tool would).
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "CUJO"; }

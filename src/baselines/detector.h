@@ -10,6 +10,7 @@
 
 #include "analysis/script_analysis.h"
 #include "dataset/corpus.h"
+#include "js/parse_limits.h"
 #include "ml/metrics.h"
 #include "obs/metrics.h"
 
@@ -22,18 +23,25 @@ class Detector {
   /// Trains the detector on a labeled corpus of JavaScript sources.
   virtual void train(const dataset::Corpus& corpus) = 0;
 
-  /// Classifies one script: 1 = malicious, 0 = benign. Unparseable input is
-  /// conventionally classified malicious (all compared tools reject it;
-  /// the convention lives in analysis::ScriptAnalysis).
-  virtual int classify(const std::string& source) const = 0;
+  /// Classifies one analyzed script: 1 = malicious, 0 = benign. Unparseable
+  /// input is conventionally classified malicious (all compared tools reject
+  /// it; the convention lives in analysis::ScriptAnalysis). The one entry
+  /// every detector implements; a shared analysis is never re-parsed.
+  virtual int classify(const analysis::ScriptAnalysis& analysis) const = 0;
 
-  /// Shared-analysis overload: classifies from a pre-built ScriptAnalysis
-  /// without re-running the frontend. The default delegates to the string
-  /// path so detectors outside this repository stay source-compatible;
-  /// in-tree detectors override it to consume `analysis` directly.
-  virtual int classify(const analysis::ScriptAnalysis& analysis) const {
-    return classify(analysis.source());
+  /// Classifies one source: analyzes it with this detector's frontend
+  /// (parse_limits(), deobfuscate()) and classifies the analysis. Subclasses
+  /// keep it callable with `using Detector::classify;`.
+  int classify(const std::string& source) const {
+    return classify(
+        analysis::ScriptAnalysis(source, parse_limits_, deobfuscate_));
   }
+
+  /// The frontend classify(source) runs. A ScriptAnalysis built with these
+  /// classifies bit-identically to classify(source). The baselines run the
+  /// defaults; a model artifact sets deobfuscate from its header.
+  const js::ParseLimits& parse_limits() const { return parse_limits_; }
+  bool deobfuscate() const { return deobfuscate_; }
 
   virtual std::string name() const = 0;
 
@@ -83,6 +91,11 @@ class Detector {
     c->add();
     return verdict;
   }
+
+  // The frontend of classify(source); ModelView's attach() sets
+  // deobfuscate_ from the artifact header.
+  js::ParseLimits parse_limits_;
+  bool deobfuscate_ = false;
 
  private:
   mutable std::atomic<obs::Counter*> benign_count_{nullptr};

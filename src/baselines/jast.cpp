@@ -73,10 +73,6 @@ void Jast::train(const dataset::Corpus& corpus) {
   forest_.fit(x, y);
 }
 
-int Jast::classify(const std::string& source) const {
-  return classify(analysis::ScriptAnalysis(source));
-}
-
 int Jast::classify(const analysis::ScriptAnalysis& analysis) const {
   return record_verdict(analysis.classify_or_malicious(
       [&] { return forest_.predict(featurize(analysis).data()); }));

@@ -21,7 +21,7 @@ class Jast final : public Detector {
   explicit Jast(JastConfig cfg = {});
 
   void train(const dataset::Corpus& corpus) override;
-  int classify(const std::string& source) const override;
+  using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JAST"; }
 

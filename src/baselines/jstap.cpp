@@ -115,10 +115,6 @@ void Jstap::train(const dataset::Corpus& corpus) {
   forest_.fit(x, y);
 }
 
-int Jstap::classify(const std::string& source) const {
-  return classify(analysis::ScriptAnalysis(source));
-}
-
 int Jstap::classify(const analysis::ScriptAnalysis& analysis) const {
   return record_verdict(analysis.classify_or_malicious(
       [&] { return forest_.predict(featurize(analysis).data()); }));

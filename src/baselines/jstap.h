@@ -24,7 +24,7 @@ class Jstap final : public Detector {
   explicit Jstap(JstapConfig cfg = {});
 
   void train(const dataset::Corpus& corpus) override;
-  int classify(const std::string& source) const override;
+  using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JSTAP"; }
 

@@ -101,10 +101,6 @@ void Zozzle::train(const dataset::Corpus& corpus) {
   nb_.fit(x, y);
 }
 
-int Zozzle::classify(const std::string& source) const {
-  return classify(analysis::ScriptAnalysis(source));
-}
-
 int Zozzle::classify(const analysis::ScriptAnalysis& analysis) const {
   return record_verdict(analysis.classify_or_malicious(
       [&] { return nb_.predict(featurize(analysis).data()); }));

@@ -23,7 +23,7 @@ class Zozzle final : public Detector {
   explicit Zozzle(ZozzleConfig cfg = {});
 
   void train(const dataset::Corpus& corpus) override;
-  int classify(const std::string& source) const override;
+  using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "ZOZZLE"; }
 

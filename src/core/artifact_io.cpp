@@ -52,12 +52,6 @@ void add_vector_section(std::vector<std::uint8_t>* buf,
 
 std::vector<std::uint8_t> JsRevealer::write_artifact(
     const paths::PathVocab& vocab, const Trained& t) const {
-  // Other classifier kinds get an empty forest (zero trees, offsets {0}):
-  // an unfitted RandomForest.
-  const ml::RandomForest no_forest;
-  const auto* fitted = dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  const ml::RandomForest& forest = fitted != nullptr ? *fitted : no_forest;
-
   std::string central_blob;
   std::vector<std::uint32_t> central_offsets;
   central_offsets.reserve(t.central_path.size() + 1);
@@ -83,7 +77,7 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(
   hdr.clusters_removed = static_cast<std::uint32_t>(t.clusters_removed);
   hdr.vocab_size = static_cast<std::uint32_t>(vocab.size());
   hdr.vocab_table_size = static_cast<std::uint32_t>(vocab.table().size());
-  hdr.n_trees = static_cast<std::uint32_t>(forest.offsets().size() - 1);
+  hdr.n_trees = static_cast<std::uint32_t>(t.forest.offsets().size() - 1);
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
   hdr.max_vocab = cfg_.max_vocab;
@@ -113,9 +107,9 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(
   add_vector_section(&buf, &sections, fmt::SectionId::kScalerMax,
                      t.scaler.fitted_max());
   add_vector_section(&buf, &sections, fmt::SectionId::kForestOffsets,
-                     forest.offsets());
+                     t.forest.offsets());
   add_vector_section(&buf, &sections, fmt::SectionId::kForestNodes,
-                     forest.nodes());
+                     t.forest.nodes());
 
   hdr.file_size = buf.size();
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
@@ -128,11 +122,6 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(
 std::span<const std::uint8_t> JsRevealer::artifact_bytes() const {
   if (!loaded()) {
     throw std::logic_error("JsRevealer::save_artifact: detector is not trained");
-  }
-  if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
-    throw std::logic_error(
-        "JsRevealer::save_artifact: persistence supports the random-forest "
-        "classifier only");
   }
   return {data_, size_};
 }

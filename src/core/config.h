@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "ml/classifier.h"
 #include "paths/path_extraction.h"
 
 namespace jsrev::core {
@@ -42,9 +41,6 @@ struct Config {
   // Run the MetaOD-substitute selector instead of hardwiring FastABOD.
   bool run_outlier_selection = false;
 
-  // Classification (paper: random forest chosen in Table II).
-  ml::ClassifierKind classifier = ml::ClassifierKind::kRandomForest;
-
   // Append the semantic lint summary vector (src/lint) to every feature
   // vector: [malice diags, hygiene diags, severity-weighted score, distinct
   // rules fired]. Off by default — the default pipeline (and its serialized
@@ -61,13 +57,6 @@ struct Config {
 
   // Maximum vocabulary size; further paths are treated as unknown.
   std::size_t max_vocab = 200000;
-
-  // Span tracing: when set, the JsRevealer constructor switches the global
-  // obs::Tracer on, so every pipeline stage (and each per-script classify)
-  // records a span exportable as a Chrome trace (obs/trace.h; view in
-  // Perfetto / chrome://tracing). Off by default — a disabled tracer costs
-  // one relaxed atomic load per would-be span.
-  bool trace = false;
 
   // Parallel width for every per-item pipeline stage (path extraction,
   // FastABOD, k-means assignment, forest training, batch prediction).

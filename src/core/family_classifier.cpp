@@ -1,9 +1,5 @@
 #include "core/family_classifier.h"
 
-#include <algorithm>
-
-#include "util/thread_pool.h"
-
 namespace jsrev::core {
 
 FamilyClassifier::FamilyClassifier(std::size_t threads) : threads_(threads) {
@@ -29,32 +25,15 @@ std::size_t FamilyClassifier::train(const ModelView& detector,
     }
   }
 
-  // Featurization fans out per sample; the failed-sample compaction below
-  // stays serial in sample order so row order matches the serial path.
-  std::vector<std::vector<double>> feats(malicious.size());
-  parallel_for_threads(threads_, malicious.size(), [&](std::size_t i) {
-    try {
-      feats[i] = detector.featurize(malicious[i]->source);
-    } catch (const std::exception&) {
-      // left empty: skipped during compaction
-    }
-  });
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < malicious.size(); ++i) {
-    if (feats[i].empty()) continue;
-    malicious[used] = malicious[i];
-    feats[used++].swap(feats[i]);
-  }
-
-  ml::Matrix x(used, detector.feature_count());
-  std::vector<int> y(used);
-  for (std::size_t i = 0; i < used; ++i) {
-    std::copy(feats[i].begin(), feats[i].end(), x.row(i));
-    y[i] = label_.at(malicious[i]->family);
+  std::vector<std::size_t> used;
+  const ml::Matrix x = detector.featurize_rows(malicious, threads_, &used);
+  std::vector<int> y(used.size());
+  for (std::size_t r = 0; r < used.size(); ++r) {
+    y[r] = label_.at(malicious[used[r]]->family);
   }
   forest_.fit(x, y);
   trained_ = true;
-  return used;
+  return used.size();
 }
 
 std::string FamilyClassifier::classify(const ModelView& detector,

@@ -15,10 +15,7 @@
 
 namespace jsrev::core {
 
-JsRevealer::JsRevealer(Config cfg)
-    : cfg_(cfg),
-      classifier_(ml::make_classifier(cfg_.classifier, cfg_.seed,
-                                      cfg_.threads)) {
+JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
   if (cfg_.path.max_paths != paths::PathConfig{}.max_paths) {
     throw std::invalid_argument(
         "JsRevealer: Config::path.max_paths must be the default " +
@@ -33,7 +30,6 @@ JsRevealer::JsRevealer(Config cfg)
         std::to_string(paths::kMaxPathLength) + "] and max_width in [0, " +
         std::to_string(paths::kMaxPathWidth) + "] (the artifact's bounds)");
   }
-  if (cfg_.trace) obs::Tracer::global().set_enabled(true);
   set_threads(cfg_.threads);
 }
 
@@ -299,7 +295,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   assign_central(benign_vecs, benign_ids);
   assign_central(malicious_vecs, malicious_ids);
 
-  // ---- Stage 5: featurize the training corpus and fit the classifier ------
+  // ---- Stage 5: featurize the training corpus and fit the forest ----------
   // First the per-path table: each vocabulary id's attention score and
   // cluster, the only part of the embedding model and the cluster geometry
   // that inference needs. Then cluster-membership features through that
@@ -333,26 +329,27 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   trained.scaler.transform(x);
 
   Timer t_fit;
-  classifier_->fit(x, y);
+  ml::ForestConfig fc;
+  fc.seed = cfg_.seed;
+  fc.threads = cfg_.threads;
+  trained.forest = ml::RandomForest(fc);
+  trained.forest.fit(x, y);
   obs::stage_summary("classifier_train")
       ->observe(t_fit.elapsed_ms() /
                 static_cast<double>(std::max<std::size_t>(1, x.rows())));
+  importances_ = trained.forest.feature_importances();
 
   // ---- Stage 6: attach to the artifact every inference call runs on -----
   // The writer sealed the bytes it wrote, so the attach skips the payload
   // verification pass. `pre` and `trained` die with this frame.
   from_buffer(write_artifact(pre.vocab, trained), /*verify_checksums=*/false);
-  if (dynamic_cast<const ml::RandomForest*>(classifier_.get()) == nullptr) {
-    predict_hook_ = classifier_.get();  // Table II's non-forest kinds
-  }
 }
 
 std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
   std::vector<FeatureReportEntry> out;
-  const auto* forest = dynamic_cast<const ml::RandomForest*>(classifier_.get());
-  if (forest == nullptr || !loaded()) return out;
+  if (!loaded()) return out;
 
-  const std::vector<double> imp = forest->feature_importances();
+  const std::vector<double>& imp = importances_;
   std::vector<std::size_t> order(imp.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&imp](std::size_t a, std::size_t b) {

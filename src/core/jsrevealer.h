@@ -1,6 +1,7 @@
 // JSRevealer: the paper's detector (path extraction → path embedding →
-// feature extraction → classification), implementing detect::Detector so it
-// slots into the same evaluation harness as the baselines.
+// feature extraction → random-forest classification, the classifier Table II
+// picks), implementing detect::Detector so it slots into the same evaluation
+// harness as the baselines.
 //
 // JsRevealer is a core::ModelView that can train. train() builds every
 // parameter block in locals, writes the JSRM artifact (core/model_format.h)
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,6 +21,7 @@
 #include "core/config.h"
 #include "core/model_view.h"
 #include "ml/attention_model.h"
+#include "ml/decision_tree.h"
 #include "ml/kmeans.h"
 #include "ml/outlier.h"
 #include "ml/scaler.h"
@@ -59,7 +60,7 @@ class JsRevealer final : public ModelView {
   ml::OutlierMethod outlier_method() const { return outlier_method_; }
 
   /// Top-`n` features by random-forest importance, with their central paths
-  /// (Table VII). Only valid after train() with the random-forest classifier.
+  /// (Table VII). Empty before train().
   std::vector<FeatureReportEntry> feature_report(int n = 5) const;
 
   /// SSE curve helper for the Fig. 5 elbow plot: runs train()'s stages 1-2
@@ -73,8 +74,7 @@ class JsRevealer final : public ModelView {
   /// The trained model as a JSRM v4 artifact (core/model_format.h):
   /// page-aligned sections with per-section checksums, mappable read-only by
   /// core::ModelView — the bytes this detector is attached to. Deterministic
-  /// for a deterministic model. Throws std::logic_error if untrained or
-  /// trained with a classifier other than the random forest.
+  /// for a deterministic model. Throws std::logic_error if untrained.
   std::vector<std::uint8_t> save_artifact() const;
   void save_artifact_file(const std::string& path) const;
 
@@ -99,6 +99,7 @@ class JsRevealer final : public ModelView {
     std::vector<std::string> central_path;  // Table VII inverse index
     std::size_t clusters_removed = 0;
     ml::MinMaxScaler scaler;
+    ml::RandomForest forest;
   };
 
   /// Stages 1-2 of train(): path extraction (growing the vocabulary) and
@@ -114,8 +115,7 @@ class JsRevealer final : public ModelView {
                                  Rng& rng,
                                  std::vector<std::int32_t>* ids) const;
 
-  /// Serializes the trained parameters. Any classifier kind: a non-forest
-  /// model gets an empty forest (it predicts through the predict hook).
+  /// Serializes the trained parameters.
   std::vector<std::uint8_t> write_artifact(const paths::PathVocab& vocab,
                                            const Trained& t) const;
 
@@ -123,7 +123,9 @@ class JsRevealer final : public ModelView {
   std::span<const std::uint8_t> artifact_bytes() const;
 
   Config cfg_;
-  std::unique_ptr<ml::Classifier> classifier_;
+  // The fitted forest's normalized importances (Table VII); the trees
+  // themselves live only in the artifact.
+  std::vector<double> importances_;
   ml::OutlierMethod outlier_method_ = ml::OutlierMethod::kFastAbod;
 };
 

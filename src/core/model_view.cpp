@@ -186,8 +186,6 @@ void ModelView::attach(std::shared_ptr<const void> owner,
   size_ = size;
   header_ = hdr;
   sections_ = std::move(sections);
-  // A newly attached artifact predicts with its own forest.
-  predict_hook_ = nullptr;
   struct Rollback {
     ModelView* v;
     bool armed = true;
@@ -473,9 +471,31 @@ std::vector<double> ModelView::featurize(
   return f;
 }
 
-int ModelView::classify(const std::string& source) const {
-  return classify(
-      analysis::ScriptAnalysis(source, parse_limits_, deobfuscate_));
+ml::Matrix ModelView::featurize_rows(
+    const std::vector<const dataset::Sample*>& samples, std::size_t threads,
+    std::vector<std::size_t>* used) const {
+  // Featurization fans out per sample; the compaction below stays serial in
+  // sample order, so the rows land in the same order at any width.
+  std::vector<std::vector<double>> feats(samples.size());
+  std::vector<char> ok(samples.size(), 0);
+  parallel_for_threads(threads, samples.size(), [&](std::size_t i) {
+    try {
+      feats[i] = featurize(samples[i]->source);
+      ok[i] = 1;
+    } catch (const std::exception&) {
+      // no row for this sample
+    }
+  });
+  used->clear();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (ok[i] != 0) used->push_back(i);
+  }
+  ml::Matrix x(used->size(), feature_count());
+  for (std::size_t r = 0; r < used->size(); ++r) {
+    const std::vector<double>& f = feats[(*used)[r]];
+    std::copy(f.begin(), f.end(), x.row(r));
+  }
+  return x;
 }
 
 int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
@@ -495,8 +515,7 @@ int ModelView::classify(const analysis::ScriptAnalysis& analysis) const {
     try {
       const std::vector<double> f = featurize(analysis);
       Timer t;
-      const int v = predict_hook_ != nullptr ? predict_hook_->predict(f.data())
-                                             : forest_.predict(f.data());
+      const int v = forest_.predict(f.data());
       const double classify_ms = t.elapsed_ms();
       classify_stage->observe(classify_ms);
       if (prov != nullptr) prov->stage_ms.classify = classify_ms;

@@ -18,11 +18,10 @@
 // ml::PathTableView::cluster_features softmaxes the scores and sums them per
 // cluster.
 //
-// The last step of classify is the predict call: the artifact's forest,
-// except for a JsRevealer trained with one of Table II's non-forest
-// classifiers, which sets the predict hook to that classifier (so they run
-// on the same feature vector). A mapped view therefore classifies
-// bit-identically to the JsRevealer that wrote it.
+// The last step of classify is the walk of the artifact's forest, the only
+// predict step, so a mapped view classifies bit-identically to the
+// JsRevealer that wrote it. Table II's other classifiers are refitted on
+// featurize_rows() by their bench, outside the detector.
 //
 // Aliasing contract: a ModelView keeps its backing storage (the mapped file
 // or the from_buffer copy) alive through a shared_ptr owner. A ModelView is
@@ -47,9 +46,8 @@
 
 #include "baselines/detector.h"
 #include "core/model_format.h"
-#include "js/parse_limits.h"
 #include "lint/linter.h"
-#include "ml/classifier.h"
+#include "ml/matrix.h"
 #include "ml/model_view_ops.h"
 #include "obs/provenance.h"
 #include "paths/path_extraction.h"
@@ -109,10 +107,11 @@ class ModelView : public detect::Detector {
   /// Immutable: training is JsRevealer's job.
   void train(const dataset::Corpus& corpus) override;
 
-  int classify(const std::string& source) const override;
-  /// The one classify body. Records provenance and the detector.verdicts
-  /// counter under name(); a script that was featurized and predicted books
-  /// its predict time into obs::stage_summary("classify").
+  using Detector::classify;
+  /// The one classify body: featurize, then the artifact's forest. Records
+  /// provenance and the detector.verdicts counter under name(); a script
+  /// that was featurized and predicted books its predict time into
+  /// obs::stage_summary("classify").
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JSRevealer[mapped]"; }
 
@@ -145,6 +144,16 @@ class ModelView : public detect::Detector {
   std::vector<double> featurize(const std::string& source) const;
   std::vector<double> featurize(const analysis::ScriptAnalysis& analysis) const;
 
+  /// Rows for a model fitted on this feature space (the family classifier,
+  /// Table II's refitted classifiers): the featurize() row of each sample
+  /// that featurizes, in sample order. `used` receives each row's index into
+  /// `samples`; a sample that does not featurize gets no row. Fans out at
+  /// `threads` width (0 = hardware concurrency); the rows are identical at
+  /// any width.
+  ml::Matrix featurize_rows(const std::vector<const dataset::Sample*>& samples,
+                            std::size_t threads,
+                            std::vector<std::size_t>* used) const;
+
   std::size_t feature_count() const {
     return header_.feature_dim + header_.lint_dim;
   }
@@ -154,12 +163,6 @@ class ModelView : public detect::Detector {
   /// Parallel width for classify_all (0 = hardware concurrency).
   std::size_t threads() const { return threads_; }
   void set_threads(std::size_t n) { threads_ = n; }
-
-  /// Frontend configuration for building ScriptAnalysis inputs that classify
-  /// bit-identically to classify(source): the default limits (an artifact
-  /// records none) and the header's deobfuscate flag.
-  const js::ParseLimits& parse_limits() const { return parse_limits_; }
-  bool deobfuscate() const { return deobfuscate_; }
 
   /// Header and section table of the attached artifact (jsr_model inspect).
   ArtifactInfo info() const;
@@ -200,17 +203,11 @@ class ModelView : public detect::Detector {
   const std::uint32_t* central_offsets_ = nullptr;
   const char* central_blob_ = nullptr;
 
-  // Inference configuration reconstructed from the header (the parse limits
-  // are always the defaults).
+  // Inference configuration reconstructed from the header (attach() also
+  // sets Detector's deobfuscate flag; the parse limits are always the
+  // defaults).
   paths::PathConfig path_cfg_;
-  js::ParseLimits parse_limits_;
-  bool deobfuscate_ = false;
   std::size_t threads_ = 0;
-
-  // The predict step when it is not the artifact's forest: a JsRevealer
-  // trained with a non-forest classifier points it at that classifier.
-  // attach() clears it.
-  const ml::Classifier* predict_hook_ = nullptr;
 
   lint::Linter linter_;
 

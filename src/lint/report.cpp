@@ -1,39 +1,14 @@
 #include "lint/report.h"
 
 #include <array>
-#include <cstdio>
 
+#include "obs/json.h"
 #include "util/string_util.h"
 
 namespace jsrev::lint {
 namespace {
 
-// JSON string escaping (js_escape is not enough: JSON requires \u00XX for
-// every control character).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
+using obs::json_escape;
 
 void append_summary_json(const LintResult& r, std::string* out) {
   const std::vector<double> f = lint_feature_vector(r);

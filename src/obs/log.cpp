@@ -69,10 +69,6 @@ void set_log_level(LogLevel level) noexcept {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() noexcept {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 bool log_enabled(LogLevel level) noexcept {
   return static_cast<int>(level) >= g_level.load(std::memory_order_relaxed);
 }

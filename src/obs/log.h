@@ -40,7 +40,6 @@ bool log_level_from_name(std::string_view name, LogLevel* out) noexcept;
 /// Global severity floor (default kInfo). Records below it are dropped
 /// before any formatting happens.
 void set_log_level(LogLevel level) noexcept;
-LogLevel log_level() noexcept;
 
 /// True when a record at `level` would be emitted (call-site fast path).
 bool log_enabled(LogLevel level) noexcept;

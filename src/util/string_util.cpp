@@ -35,10 +35,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;

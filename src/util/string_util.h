@@ -18,8 +18,7 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Returns `s` with leading/trailing ASCII whitespace removed.
 std::string_view trim(std::string_view s);
 
-/// True if `s` starts with / ends with the given prefix/suffix.
-bool starts_with(std::string_view s, std::string_view prefix);
+/// True if `s` ends with the given suffix.
 bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Replaces every occurrence of `from` with `to`.

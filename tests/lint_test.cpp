@@ -4,6 +4,8 @@
 // throws on any obfuscator's output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "lint/registry.h"
 #include "lint/report.h"
 #include "obfuscators/obfuscator.h"
+#include "obs/json.h"
 #include "util/rng.h"
 
 namespace jsrev::lint {
@@ -251,6 +254,50 @@ TEST_F(LintRules, JsonReportIsStructured) {
   EXPECT_NE(json.find("\"a \\\"quoted\\\" name.js\""), std::string::npos);
   EXPECT_NE(json.find("\"totals\":{\"inputs\":1"), std::string::npos);
   EXPECT_NE(json.find("\"malice_diags\":1.0"), std::string::npos);
+}
+
+TEST_F(LintRules, JsonReportRoundTripsControlCharacters) {
+  // Every byte below 0x20, NUL included (U+0008 and U+000C come out as \b and
+  // \f, the rest as \n, \r, \t or \u00XX), plus the two characters JSON
+  // must escape.
+  std::string text = "\"quoted\" \\ ";
+  for (int c = 0; c < 0x20; ++c) text += static_cast<char>(c);
+  std::vector<NamedResult> named(2);
+  named[0].name = "bad" + text + ".js";
+  named[0].result.parse_failed = true;
+  named[0].result.parse_error = "unexpected token" + text;
+  named[1].name = "ok.js";
+  named[1].result.diagnostics.push_back(Diagnostic{});
+  named[1].result.diagnostics[0].message = "message" + text;
+  named[1].result.diagnostics[0].excerpt = "eval(\"" + text + "\")";
+
+  const std::string json = render_json(named);
+  // JSON forbids raw control characters inside strings.
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0);
+  std::string error;
+  const std::unique_ptr<obs::JsonValue> doc = obs::json_parse(json, &error);
+  ASSERT_NE(doc, nullptr) << error;
+  const obs::JsonValue* inputs = doc->find("inputs");
+  ASSERT_NE(inputs, nullptr);
+  ASSERT_EQ(inputs->array.size(), 2u);
+  const obs::JsonValue& failed = inputs->array[0];
+  ASSERT_NE(failed.find("name"), nullptr);
+  EXPECT_EQ(failed.find("name")->string, named[0].name);
+  ASSERT_NE(failed.find("parse_error"), nullptr);
+  EXPECT_EQ(failed.find("parse_error")->string, named[0].result.parse_error);
+  const obs::JsonValue* diags = inputs->array[1].find("diagnostics");
+  ASSERT_NE(diags, nullptr);
+  ASSERT_EQ(diags->array.size(), 1u);
+  ASSERT_NE(diags->array[0].find("excerpt"), nullptr);
+  EXPECT_EQ(diags->array[0].find("excerpt")->string,
+            named[1].result.diagnostics[0].excerpt);
+  ASSERT_NE(diags->array[0].find("message"), nullptr);
+  EXPECT_EQ(diags->array[0].find("message")->string,
+            named[1].result.diagnostics[0].message);
 }
 
 // ---- determinism ---------------------------------------------------------

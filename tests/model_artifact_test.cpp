@@ -532,26 +532,6 @@ TEST(ModelViewApi, UntrainedSaveArtifactThrows) {
   EXPECT_THROW(det.save_artifact(), std::logic_error);
 }
 
-TEST(ModelViewApi, NonForestClassifierSaveArtifactThrows) {
-  dataset::GeneratorConfig gc;
-  gc.seed = 33;
-  gc.benign_count = 30;
-  gc.malicious_count = 30;
-  core::Config cfg;
-  cfg.classifier = ml::ClassifierKind::kSvm;
-  cfg.embed_epochs = 3;
-  cfg.cluster_sample_per_class = 200;
-  core::JsRevealer det(cfg);
-  det.train(dataset::generate_corpus(gc));
-  // The in-memory artifact carries an empty forest; the detector predicts
-  // with its SVM, but the model cannot be persisted.
-  EXPECT_TRUE(det.loaded());
-  EXPECT_EQ(det.tree_count(), 0u);
-  EXPECT_THROW(det.save_artifact(), std::logic_error);
-  EXPECT_THROW(det.save_artifact_file("artifact_test_svm.jsrm"),
-               std::logic_error);
-}
-
 TEST(ModelViewApi, MissingFileThrows) {
   core::ModelView view;
   EXPECT_THROW(view.map_file("/tmp/jsrev_no_such_artifact.jsrm"),

@@ -1,8 +1,9 @@
 // Tests for the parse-once ScriptAnalysis artifact and its integration with
 // every detector: memoization (exactly one js::parse per script no matter
 // how many consumers), the shared unparseable-input convention, and
-// bit-identical equivalence between the string-based and analysis-based
-// classification paths across obfuscators and thread widths.
+// bit-identical verdicts between classify(source), which analyzes each call
+// afresh, and a shared pre-parsed AnalyzedCorpus, across obfuscators and
+// thread widths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -229,7 +230,8 @@ TEST(SharedAnalysisIntegration, AllFiveDetectorsAgreeOnBrokenScript) {
   }
 }
 
-// Equivalence: string-based and ScriptAnalysis-based classification are
+// Equivalence: classify(source) (a fresh analysis per call) and
+// classification of the shared AnalyzedCorpus (parsed once, in parallel) are
 // bit-identical for every detector over >= 200 generated scripts spanning
 // all four obfuscators, and for JSRevealer at thread widths 1, 2 and 8.
 TEST(SharedAnalysisIntegration, StringAndAnalysisPathsAreBitIdentical) {
