@@ -5,8 +5,8 @@
 // ZOZZLE, JAST, JSTAP) while JSRevealer stays robust. This bench measures how
 // much of that lost accuracy the src/deob normalization pipeline recovers
 // when it runs in front of *all five* detectors (HarnessConfig::deobfuscate):
-// training sources are normalized up front and every test condition is
-// analyzed behind the same pipeline.
+// the training corpus and every test condition are analyzed behind the same
+// pipeline, once each, and every detector reads those analyses.
 //
 // Emits BENCH_deob.json (standard envelope, validated by
 // `jsr_stats --validate`) with one point per detector x condition carrying

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "deob/deob.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -64,24 +63,18 @@ ResultGrid run_grid(const HarnessConfig& cfg,
     const dataset::Corpus corpus = dataset::generate_corpus(gc);
 
     Rng rng(seed ^ 0xabcdef);
-    dataset::Split split = dataset::split_corpus(
+    const dataset::Split split = dataset::split_corpus(
         corpus, cfg.train_per_class, cfg.train_per_class, rng);
     const dataset::Corpus test = dataset::balance(split.test, rng);
-    if (cfg.deobfuscate) {
-      // Level the field for all five detectors: the string-trained
-      // baselines have no per-script analysis hook, so the training corpus
-      // itself is normalized (JSRevealer would also normalize internally
-      // via Config::deobfuscate; the sources it receives here are already
-      // in normal form, which makes that a no-op second pass).
-      for (auto& s : split.train.samples) {
-        s.source = deob::deobfuscate_source(s.source).source;
-      }
-    }
 
-    // Pre-compute the five test-set conditions once per repeat, then build
-    // each condition's shared analyses (parallel parse) exactly once — every
-    // detector of this repeat evaluates against the same AnalyzedCorpus, so
-    // a test script is parsed once total rather than once per detector.
+    // Build the training set's shared analyses and each of the five test-set
+    // conditions' exactly once per repeat (parallel parse, behind the deob
+    // pipeline when cfg.deobfuscate): every detector of this repeat trains
+    // on the same training AnalyzedCorpus and evaluates against the same
+    // condition ones, so a script is parsed once total rather than once per
+    // detector, and all five detectors see the same normalized inputs.
+    const analysis::AnalyzedCorpus analyzed_train = detect::analyze_corpus(
+        split.train, cfg.jsrevealer.threads, {}, cfg.deobfuscate);
     std::vector<dataset::Corpus> conditions;
     conditions.push_back(test);
     for (const obf::ObfuscatorKind kind : obf::kAllObfuscators) {
@@ -96,7 +89,7 @@ ResultGrid run_grid(const HarnessConfig& cfg,
 
     for (const auto& factory : factories) {
       auto detector = factory(seed);
-      detector->train(split.train);
+      detector->train(analyzed_train);
       for (std::size_t c = 0; c < analyzed.size(); ++c) {
         runs[detector->name()][condition_names()[c]].push_back(
             detector->evaluate(analyzed[c]));

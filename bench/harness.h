@@ -30,9 +30,9 @@ struct HarnessConfig {
   int repeats = 5;            // the paper repeats 5x and averages
   std::uint64_t seed = 2023;
   core::Config jsrevealer;    // pipeline config (ablations override fields)
-  // Run every detector behind the static deobfuscation pipeline: training
-  // sources are normalized up front and every test-condition analysis is
-  // built with deobfuscate on, so all five detectors see normalized inputs
+  // Run every detector behind the static deobfuscation pipeline: the
+  // training corpus and every test condition are analyzed with deobfuscate
+  // on, so all five detectors train and test on normalized inputs
   // (bench_deob measures the robustness this recovers).
   bool deobfuscate = false;
 };

@@ -55,11 +55,14 @@ int main(int argc, char** argv) {
     detectors.push_back(detect::make_baseline(kind, 1));
   }
 
+  // One analysis per training script, shared by all five detectors.
+  const analysis::AnalyzedCorpus train = detect::analyze_corpus(split.train);
+
   Table t({"Detector", "clean acc", "clean F1", "obf acc", "obf F1",
            "obf FPR", "obf FNR"});
   for (const auto& det : detectors) {
     std::printf("training %s...\n", det->name().c_str());
-    det->train(split.train);
+    det->train(train);
     const ml::Metrics clean = det->evaluate(test);
     const ml::Metrics dirty = det->evaluate(obf_test);
     auto pct = [](double v) {

@@ -27,8 +27,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
 
 # The parse-once suite (one memoized ScriptAnalysis shared by concurrent
 # consumers, parse-count accounting, verdicts over a shared AnalyzedCorpus
-# equal to per-call analyses at thread widths 1/2/8) runs as its own step so
-# a sanitizer finding in the parse-once layer is attributed unambiguously.
+# equal to per-call analyses, and detectors trained on a shared
+# AnalyzedCorpus equal to ones trained on sources, at thread widths 1/2/8)
+# runs as its own step so a sanitizer finding in the parse-once layer is
+# attributed unambiguously.
 echo "== script_analysis equivalence (ASan+UBSan)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
       -R '^script_analysis_test$'
@@ -265,6 +267,10 @@ echo "jsr_serve admin plane: /healthz, /statusz, /metrics served and valid"
 # Robustness-recovery bench at smoke scale: tiny corpus, one repeat — the
 # point here is memory safety across both half-grids (pipeline off/on for
 # all five detectors) plus a schema-valid BENCH_deob.json, not the numbers.
+# Its deob half is also the sanitizer run of shared training: the five
+# detectors train on one deob-normalized AnalyzedCorpus (bench::run_grid),
+# the JSRevealer extraction fan-out and the four serial baseline loops
+# reading the same memoized analyses.
 echo "== bench_deob smoke (ASan+UBSan)"
 (cd "${BUILD_DIR}" && JSREV_BENCH_CORPUS=40 JSREV_BENCH_TRAIN=24 \
     JSREV_BENCH_REPEATS=1 ./bench/bench_deob)

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "js/lexer.h"
-
 namespace jsrev::detect {
 
 Cujo::Cujo(CujoConfig cfg)
@@ -12,11 +10,6 @@ Cujo::Cujo(CujoConfig cfg)
   ml::LinearConfig lc;
   lc.seed = cfg.seed;
   svm_ = ml::LinearSvm(lc);
-}
-
-std::vector<std::string> Cujo::normalize_tokens(const std::string& source) {
-  js::Lexer lexer(source);
-  return normalize_tokens(lexer.tokenize());
 }
 
 std::vector<std::string> Cujo::normalize_tokens(
@@ -57,18 +50,15 @@ std::vector<double> Cujo::featurize(
   return f;
 }
 
-void Cujo::train(const dataset::Corpus& corpus) {
-  ml::Matrix x(corpus.samples.size(), cfg_.dims);
-  std::vector<int> y(corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-    const analysis::ScriptAnalysis analysis(corpus.samples[i].source);
-    if (const std::vector<js::Token>* tokens = analysis.tokens()) {
+void Cujo::train(const analysis::AnalyzedCorpus& corpus) {
+  ml::Matrix x(corpus.size(), cfg_.dims);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (const std::vector<js::Token>* tokens = corpus.scripts[i]->tokens()) {
       const std::vector<double> f = featurize(*tokens);
       std::copy(f.begin(), f.end(), x.row(i));
     }
-    y[i] = corpus.samples[i].label;
   }
-  svm_.fit(x, y);
+  svm_.fit(x, corpus.labels);
 }
 
 int Cujo::classify(const analysis::ScriptAnalysis& analysis) const {

@@ -25,7 +25,8 @@ class Cujo final : public Detector {
  public:
   explicit Cujo(CujoConfig cfg = {});
 
-  void train(const dataset::Corpus& corpus) override;
+  using Detector::train;
+  void train(const analysis::AnalyzedCorpus& corpus) override;
   using Detector::classify;
   /// CUJO is token-level: it consumes the analysis' memoized token stream
   /// and never forces a parse, so a script that lexes but does
@@ -34,7 +35,6 @@ class Cujo final : public Detector {
   std::string name() const override { return "CUJO"; }
 
   /// Normalized lexical token stream (exposed for tests).
-  static std::vector<std::string> normalize_tokens(const std::string& source);
   static std::vector<std::string> normalize_tokens(
       const std::vector<js::Token>& tokens);
 

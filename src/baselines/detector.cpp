@@ -9,11 +9,9 @@
 
 namespace jsrev::detect {
 
-analysis::AnalyzedCorpus analyze_corpus(const dataset::Corpus& corpus,
-                                        std::size_t threads,
-                                        js::ParseLimits limits,
-                                        bool deobfuscate) {
-  obs::Span span("detect.analyze_corpus", "detect");
+analysis::AnalyzedCorpus lazy_analyses(const dataset::Corpus& corpus,
+                                       js::ParseLimits limits,
+                                       bool deobfuscate) {
   analysis::AnalyzedCorpus out;
   out.scripts.reserve(corpus.samples.size());
   out.labels.reserve(corpus.samples.size());
@@ -22,6 +20,15 @@ analysis::AnalyzedCorpus analyze_corpus(const dataset::Corpus& corpus,
         s.source, limits, deobfuscate));
     out.labels.push_back(s.label);
   }
+  return out;
+}
+
+analysis::AnalyzedCorpus analyze_corpus(const dataset::Corpus& corpus,
+                                        std::size_t threads,
+                                        js::ParseLimits limits,
+                                        bool deobfuscate) {
+  obs::Span span("detect.analyze_corpus", "detect");
+  analysis::AnalyzedCorpus out = lazy_analyses(corpus, limits, deobfuscate);
   // Warm the parse in parallel; failures are values, so no item can throw.
   parallel_for_threads(threads, out.scripts.size(), [&](std::size_t i) {
     out.scripts[i]->parse_failed();

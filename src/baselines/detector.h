@@ -1,5 +1,11 @@
 // Common interface for full-script malicious-JavaScript detectors
 // (JSRevealer and the four comparison baselines).
+//
+// A detector has one virtual train and one virtual classify, and both read
+// analysis::ScriptAnalysis objects: train an AnalyzedCorpus, classify one
+// ScriptAnalysis. The source-taking train and classify are non-virtual
+// wrappers that analyze with the detector's own frontend, so a corpus or a
+// script enters as text in exactly one place.
 #pragma once
 
 #include <atomic>
@@ -20,8 +26,20 @@ class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// Trains the detector on a labeled corpus of JavaScript sources.
-  virtual void train(const dataset::Corpus& corpus) = 0;
+  /// Trains the detector on a labeled corpus of analyzed scripts: the one
+  /// train every detector implements. Each detector forces what it reads
+  /// where its own loop runs (JsRevealer's extraction fans out at its
+  /// thread width, the baselines read serially), so one AnalyzedCorpus
+  /// shared by several detectors parses each script once. The detector
+  /// consumes the analyses as built: a caller that builds them with another
+  /// frontend than the detector's (a harness normalizing every detector's
+  /// input) trains on that frontend's output.
+  virtual void train(const analysis::AnalyzedCorpus& corpus) = 0;
+
+  /// Trains on sources: builds the corpus's analyses with this detector's
+  /// frontend (parse_limits(), deobfuscate()), unforced, and trains on them.
+  /// Subclasses keep it callable with `using Detector::train;`.
+  void train(const dataset::Corpus& corpus);
 
   /// Classifies one analyzed script: 1 = malicious, 0 = benign. Unparseable
   /// input is conventionally classified malicious (all compared tools reject
@@ -37,9 +55,10 @@ class Detector {
         analysis::ScriptAnalysis(source, parse_limits_, deobfuscate_));
   }
 
-  /// The frontend classify(source) runs. A ScriptAnalysis built with these
-  /// classifies bit-identically to classify(source). The baselines run the
-  /// defaults; a model artifact sets deobfuscate from its header.
+  /// The frontend train(corpus) and classify(source) run. A ScriptAnalysis
+  /// built with these classifies bit-identically to classify(source). The
+  /// baselines run the defaults; JsRevealer sets deobfuscate from its
+  /// Config, a model artifact from its header.
   const js::ParseLimits& parse_limits() const { return parse_limits_; }
   bool deobfuscate() const { return deobfuscate_; }
 
@@ -92,8 +111,9 @@ class Detector {
     return verdict;
   }
 
-  // The frontend of classify(source); ModelView's attach() sets
-  // deobfuscate_ from the artifact header.
+  // The frontend of train(corpus) and classify(source); JsRevealer's
+  // constructor sets deobfuscate_ from Config::deobfuscate, ModelView's
+  // attach() from the artifact header.
   js::ParseLimits parse_limits_;
   bool deobfuscate_ = false;
 
@@ -102,19 +122,30 @@ class Detector {
   mutable std::atomic<obs::Counter*> malicious_count_{nullptr};
 };
 
-/// Builds the shared per-sample analyses of a corpus, forcing the parse in
-/// parallel at `threads` width (0 = hardware concurrency). Derived analyses
-/// (scopes, data flow, CFG, PDG) stay lazy: each is computed at most once,
-/// by whichever consumer needs it first. `limits` bounds each script's
-/// frontend resources; a script that trips a limit carries a parse failure
-/// value and classifies as malicious, like any other unparseable input.
-/// With `deobfuscate` every analysis statically normalizes its script
-/// through the src/deob pipeline as part of the (parallel) parse, so all
-/// detectors sharing the corpus consume the normalized form.
+/// Builds the shared per-sample analyses of a corpus, forcing nothing: each
+/// script parses on first use, by whichever consumer reaches it first.
+/// `limits` bounds each script's frontend resources; a script that trips a
+/// limit carries a parse failure value and classifies as malicious, like any
+/// other unparseable input. With `deobfuscate` every analysis statically
+/// normalizes its script through the src/deob pipeline as part of its
+/// parse, so all detectors sharing the corpus consume the normalized form.
+/// Detector::train(corpus) trains on these.
+analysis::AnalyzedCorpus lazy_analyses(const dataset::Corpus& corpus,
+                                       js::ParseLimits limits = {},
+                                       bool deobfuscate = false);
+
+/// lazy_analyses() with the parse forced in parallel at `threads` width
+/// (0 = hardware concurrency), for a corpus that several detectors read.
+/// Derived analyses (scopes, data flow, CFG, PDG) stay lazy: each is
+/// computed at most once, by whichever consumer needs it first.
 analysis::AnalyzedCorpus analyze_corpus(const dataset::Corpus& corpus,
                                         std::size_t threads = 0,
                                         js::ParseLimits limits = {},
                                         bool deobfuscate = false);
+
+inline void Detector::train(const dataset::Corpus& corpus) {
+  train(lazy_analyses(corpus, parse_limits_, deobfuscate_));
+}
 
 enum class BaselineKind { kCujo, kZozzle, kJast, kJstap };
 

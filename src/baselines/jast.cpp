@@ -1,7 +1,6 @@
 #include "baselines/jast.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "js/visitor.h"
 
@@ -22,14 +21,6 @@ std::vector<std::string> Jast::unit_sequence(
   return units;
 }
 
-std::vector<std::string> Jast::unit_sequence(const std::string& source) {
-  const analysis::ScriptAnalysis analysis(source);
-  if (analysis.parse_failed()) {
-    throw std::runtime_error(analysis.parse_error());
-  }
-  return unit_sequence(analysis);
-}
-
 std::vector<double> Jast::featurize(
     const analysis::ScriptAnalysis& analysis) const {
   std::vector<double> f(vocab_.dims(), 0.0);
@@ -43,11 +34,11 @@ std::vector<double> Jast::featurize(
   return f;
 }
 
-void Jast::train(const dataset::Corpus& corpus) {
+void Jast::train(const analysis::AnalyzedCorpus& corpus) {
   // Pass 1: build the n-gram vocabulary from the training corpus.
-  std::vector<std::vector<std::string>> sequences(corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-    const analysis::ScriptAnalysis analysis(corpus.samples[i].source);
+  std::vector<std::vector<std::string>> sequences(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const analysis::ScriptAnalysis& analysis = *corpus.scripts[i];
     if (!analysis.parse_failed()) {
       sequences[i] = unit_sequence(analysis);
     }
@@ -57,9 +48,8 @@ void Jast::train(const dataset::Corpus& corpus) {
   vocab_.freeze();
 
   // Pass 2: featurize and fit.
-  ml::Matrix x(corpus.samples.size(), vocab_.dims());
-  std::vector<int> y(corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
+  ml::Matrix x(corpus.size(), vocab_.dims());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
     std::vector<double> f(vocab_.dims(), 0.0);
     vocab_.accumulate(sequences[i], f);
     double total = 0.0;
@@ -68,9 +58,8 @@ void Jast::train(const dataset::Corpus& corpus) {
       for (double& v : f) v /= total;
     }
     std::copy(f.begin(), f.end(), x.row(i));
-    y[i] = corpus.samples[i].label;
   }
-  forest_.fit(x, y);
+  forest_.fit(x, corpus.labels);
 }
 
 int Jast::classify(const analysis::ScriptAnalysis& analysis) const {

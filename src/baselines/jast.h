@@ -20,14 +20,13 @@ class Jast final : public Detector {
  public:
   explicit Jast(JastConfig cfg = {});
 
-  void train(const dataset::Corpus& corpus) override;
+  using Detector::train;
+  void train(const analysis::AnalyzedCorpus& corpus) override;
   using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JAST"; }
 
-  /// Preorder node-kind sequence for one script (exposed for tests).
-  /// The string form parses internally and throws on malformed input.
-  static std::vector<std::string> unit_sequence(const std::string& source);
+  /// Preorder node-kind sequence for one parsed script (exposed for tests).
   static std::vector<std::string> unit_sequence(
       const analysis::ScriptAnalysis& analysis);
 

@@ -1,7 +1,6 @@
 #include "baselines/jstap.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "analysis/pdg.h"
 #include "js/visitor.h"
@@ -12,15 +11,6 @@ Jstap::Jstap(JstapConfig cfg) : cfg_(cfg), vocab_(cfg.n, cfg.dims) {
   ml::ForestConfig fc;
   fc.seed = cfg.seed;
   forest_ = ml::RandomForest(fc);
-}
-
-std::vector<std::vector<std::string>> Jstap::pdg_walks(
-    const std::string& source) {
-  const analysis::ScriptAnalysis analysis(source);
-  if (analysis.parse_failed()) {
-    throw std::runtime_error(analysis.parse_error());
-  }
-  return pdg_walks(analysis);
 }
 
 std::vector<std::vector<std::string>> Jstap::pdg_walks(
@@ -88,12 +78,11 @@ std::vector<double> Jstap::featurize(
   return f;
 }
 
-void Jstap::train(const dataset::Corpus& corpus) {
+void Jstap::train(const analysis::AnalyzedCorpus& corpus) {
   // Pass 1: build the n-gram vocabulary over all training PDG walks.
-  std::vector<std::vector<std::vector<std::string>>> all_walks(
-      corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-    const analysis::ScriptAnalysis analysis(corpus.samples[i].source);
+  std::vector<std::vector<std::vector<std::string>>> all_walks(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const analysis::ScriptAnalysis& analysis = *corpus.scripts[i];
     if (!analysis.parse_failed()) {
       all_walks[i] = pdg_walks(analysis);
     }
@@ -103,16 +92,14 @@ void Jstap::train(const dataset::Corpus& corpus) {
   vocab_.freeze();
 
   // Pass 2: featurize (binary presence) and fit.
-  ml::Matrix x(corpus.samples.size(), vocab_.dims());
-  std::vector<int> y(corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
+  ml::Matrix x(corpus.size(), vocab_.dims());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
     std::vector<double> f(vocab_.dims(), 0.0);
     for (const auto& walk : all_walks[i]) vocab_.accumulate(walk, f);
     for (double& v : f) v = v > 0 ? 1.0 : 0.0;
     std::copy(f.begin(), f.end(), x.row(i));
-    y[i] = corpus.samples[i].label;
   }
-  forest_.fit(x, y);
+  forest_.fit(x, corpus.labels);
 }
 
 int Jstap::classify(const analysis::ScriptAnalysis& analysis) const {

@@ -23,16 +23,14 @@ class Jstap final : public Detector {
  public:
   explicit Jstap(JstapConfig cfg = {});
 
-  void train(const dataset::Corpus& corpus) override;
+  using Detector::train;
+  void train(const analysis::AnalyzedCorpus& corpus) override;
   using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "JSTAP"; }
 
-  /// PDG walk token sequences for one script (exposed for tests). The
-  /// string form parses internally and throws on malformed input; the
-  /// analysis form shares the memoized scope/data-flow/PDG artifacts.
-  static std::vector<std::vector<std::string>> pdg_walks(
-      const std::string& source);
+  /// PDG walk token sequences for one parsed script (exposed for tests);
+  /// shares the analysis' memoized scope/data-flow/PDG artifacts.
   static std::vector<std::vector<std::string>> pdg_walks(
       const analysis::ScriptAnalysis& analysis);
 

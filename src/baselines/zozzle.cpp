@@ -1,7 +1,6 @@
 #include "baselines/zozzle.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "js/printer.h"
 #include "js/visitor.h"
@@ -70,14 +69,6 @@ std::vector<std::string> Zozzle::context_features(
   return feats;
 }
 
-std::vector<std::string> Zozzle::context_features(const std::string& source) {
-  const analysis::ScriptAnalysis analysis(source);
-  if (analysis.parse_failed()) {
-    throw std::runtime_error(analysis.parse_error());
-  }
-  return context_features(analysis);
-}
-
 std::vector<double> Zozzle::featurize(
     const analysis::ScriptAnalysis& analysis) const {
   std::vector<double> f(cfg_.dims, 0.0);
@@ -87,18 +78,16 @@ std::vector<double> Zozzle::featurize(
   return f;
 }
 
-void Zozzle::train(const dataset::Corpus& corpus) {
-  ml::Matrix x(corpus.samples.size(), cfg_.dims);
-  std::vector<int> y(corpus.samples.size());
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-    const analysis::ScriptAnalysis analysis(corpus.samples[i].source);
+void Zozzle::train(const analysis::AnalyzedCorpus& corpus) {
+  ml::Matrix x(corpus.size(), cfg_.dims);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const analysis::ScriptAnalysis& analysis = *corpus.scripts[i];
     if (!analysis.parse_failed()) {
       const std::vector<double> f = featurize(analysis);
       std::copy(f.begin(), f.end(), x.row(i));
     }
-    y[i] = corpus.samples[i].label;
   }
-  nb_.fit(x, y);
+  nb_.fit(x, corpus.labels);
 }
 
 int Zozzle::classify(const analysis::ScriptAnalysis& analysis) const {

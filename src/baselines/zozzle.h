@@ -22,14 +22,14 @@ class Zozzle final : public Detector {
  public:
   explicit Zozzle(ZozzleConfig cfg = {});
 
-  void train(const dataset::Corpus& corpus) override;
+  using Detector::train;
+  void train(const analysis::AnalyzedCorpus& corpus) override;
   using Detector::classify;
   int classify(const analysis::ScriptAnalysis& analysis) const override;
   std::string name() const override { return "ZOZZLE"; }
 
-  /// (context:text) feature strings for one script (exposed for tests).
-  /// The string form parses internally and throws on malformed input.
-  static std::vector<std::string> context_features(const std::string& source);
+  /// (context:text) feature strings for one parsed script (exposed for
+  /// tests).
   static std::vector<std::string> context_features(
       const analysis::ScriptAnalysis& analysis);
 

@@ -80,7 +80,7 @@ std::vector<std::uint8_t> JsRevealer::write_artifact(
   hdr.n_trees = static_cast<std::uint32_t>(t.forest.offsets().size() - 1);
   hdr.path_max_length = static_cast<std::uint32_t>(cfg_.path.max_length);
   hdr.path_max_width = static_cast<std::uint32_t>(cfg_.path.max_width);
-  hdr.max_vocab = cfg_.max_vocab;
+  hdr.max_vocab = kMaxVocab;
 
   std::vector<std::uint8_t> buf(sizeof(fmt::ArtifactHeader) +
                                     fmt::kSectionCount * sizeof(fmt::SectionRec),

@@ -1,10 +1,16 @@
-// JSRevealer pipeline configuration.
+// JSRevealer pipeline configuration: the values a caller sets (the benches'
+// ablations and sweeps, tests, tools).
 //
 // Defaults are CPU-scaled versions of the paper's hyperparameters: the paper
 // trains a d=300 embedding for 100 epochs on a GPU and clusters millions of
-// path vectors; we default to d=64 / fewer epochs / subsampled clustering,
+// path vectors; we default to d=96 / fewer epochs / subsampled clustering,
 // which preserves every qualitative result while keeping bench runtimes in
-// minutes. The paper's exact values can be restored by overriding fields.
+// minutes. Values nothing overrides are not fields: the embedding's learning
+// rate and the outlier stage's neighbourhood and contamination are the
+// defaults of the configs they feed (ml::AttentionModelConfig,
+// ml::OutlierConfig), and the per-script pre-training path sample (400) and
+// the vocabulary cap (200,000, recorded in the artifact header) are
+// constants of core/jsrevealer.
 #pragma once
 
 #include <cstdint>
@@ -20,18 +26,10 @@ struct Config {
   // Embedding (paper Section III-C; paper: d=300, 100 epochs, 5000 scripts).
   int embedding_dim = 96;
   int embed_epochs = 24;
-  double learning_rate = 0.01;
-  // Per-script path subsample used when TRAINING the embedding model (the
-  // full path set is still used for feature extraction).
-  std::size_t train_paths_per_script = 400;
-  // Pre-training subset size (balanced); 0 = use the whole training corpus.
-  std::size_t pretrain_scripts = 0;
 
   // Feature extraction (paper Section III-D).
   int k_benign = 11;     // bisecting k-means K on benign path vectors
   int k_malicious = 10;  // ... on malicious path vectors
-  int outlier_k_neighbors = 10;
-  double outlier_contamination = 0.10;
   // Vectors subsampled per class for outlier detection + clustering (the
   // paper clusters all vectors on a GPU box; FastABOD is O(n^2)).
   std::size_t cluster_sample_per_class = 3000;
@@ -54,9 +52,6 @@ struct Config {
   // Off by default: the default pipeline stays bit-identical with the deob
   // subsystem compiled in but unused.
   bool deobfuscate = false;
-
-  // Maximum vocabulary size; further paths are treated as unknown.
-  std::size_t max_vocab = 200000;
 
   // Parallel width for every per-item pipeline stage (path extraction,
   // FastABOD, k-means assignment, forest training, batch prediction).

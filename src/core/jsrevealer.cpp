@@ -14,6 +14,13 @@
 #include "util/timer.h"
 
 namespace jsrev::core {
+namespace {
+
+// Paths sampled per script for each pre-training step (the full path set is
+// still used for feature extraction).
+constexpr std::size_t kTrainPathsPerScript = 400;
+
+}  // namespace
 
 JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
   if (cfg_.path.max_paths != paths::PathConfig{}.max_paths) {
@@ -31,10 +38,11 @@ JsRevealer::JsRevealer(Config cfg) : cfg_(cfg) {
         std::to_string(paths::kMaxPathWidth) + "] (the artifact's bounds)");
   }
   set_threads(cfg_.threads);
+  deobfuscate_ = cfg_.deobfuscate;
 }
 
-JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
-                                            Rng& rng) const {
+JsRevealer::Pretrained JsRevealer::pretrain(
+    const analysis::AnalyzedCorpus& corpus, Rng& rng) const {
   Pretrained pre;
 
   // ---- Stage 1: path extraction over the training corpus (grows vocab) ---
@@ -45,15 +53,15 @@ JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
   //
   // Each sample's ScriptAnalysis is shared between path extraction and the
   // lint summary tail (stage 5 consumes the vectors computed here), so
-  // training parses every script exactly once even with lint features on.
-  const std::size_t n_samples = corpus.samples.size();
+  // training parses every script exactly once even with lint features on;
+  // an analysis the caller already parsed is not parsed again.
+  const std::size_t n_samples = corpus.size();
   std::vector<std::vector<paths::PathContext>> extracted(n_samples);
   pre.lint_vecs.resize(n_samples);
   {
     obs::Span span("core.train.extract", "core");
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
-      const analysis::ScriptAnalysis a(corpus.samples[i].source, {},
-                                       cfg_.deobfuscate);
+      const analysis::ScriptAnalysis& a = *corpus.scripts[i];
       try {
         obs::StageDurationsMs ms;
         extracted[i] = extract(a, cfg_.path, &ms).contexts();
@@ -71,7 +79,7 @@ JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
     auto& ids = pre.script_ids[i];
     ids.reserve(extracted[i].size());
     for (const auto& pc : extracted[i]) {
-      if (pre.vocab.size() < cfg_.max_vocab) {
+      if (pre.vocab.size() < kMaxVocab) {
         ids.push_back(pre.vocab.add(pc));
       } else {
         ids.push_back(pre.vocab.lookup(pc));
@@ -82,32 +90,26 @@ JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
   extracted.shrink_to_fit();
 
   // ---- Stage 2: pre-train the embedding model -----------------------------
-  // The paper pre-trains on 5,000 held-aside scripts; by default we use the
-  // training corpus itself (cfg_.pretrain_scripts == 0), subsampling paths
-  // per script for tractable epochs.
+  // The paper pre-trains on 5,000 held-aside scripts; we use the training
+  // corpus itself, subsampling paths per script for tractable epochs.
   {
     obs::Span span("core.train.pretrain", "core");
     Timer timer;
     std::vector<ml::ScriptPaths> train_scripts;
-    std::size_t budget = cfg_.pretrain_scripts == 0
-                             ? corpus.samples.size()
-                             : cfg_.pretrain_scripts;
-    for (std::size_t i = 0; i < corpus.samples.size() && budget > 0; ++i) {
+    for (std::size_t i = 0; i < n_samples; ++i) {
       if (pre.script_ids[i].empty()) continue;
-      --budget;
       ml::ScriptPaths sp;
-      sp.label = corpus.samples[i].label;
+      sp.label = corpus.labels[i];
       sp.path_ids = pre.script_ids[i];
-      if (sp.path_ids.size() > cfg_.train_paths_per_script) {
+      if (sp.path_ids.size() > kTrainPathsPerScript) {
         rng.shuffle(sp.path_ids);
-        sp.path_ids.resize(cfg_.train_paths_per_script);
+        sp.path_ids.resize(kTrainPathsPerScript);
       }
       train_scripts.push_back(std::move(sp));
     }
     ml::AttentionModelConfig mc;
     mc.embedding_dim = cfg_.embedding_dim;
     mc.epochs = cfg_.embed_epochs;
-    mc.learning_rate = cfg_.learning_rate;
     mc.seed = cfg_.seed;
     pre.model = ml::AttentionModel(mc);
     pre.model.train(train_scripts, pre.vocab.size());
@@ -122,11 +124,11 @@ JsRevealer::Pretrained JsRevealer::pretrain(const dataset::Corpus& corpus,
 }
 
 ml::Matrix JsRevealer::sample_path_vectors(
-    const Pretrained& pre, const dataset::Corpus& corpus, int label, Rng& rng,
-    std::vector<std::int32_t>* ids) const {
+    const Pretrained& pre, const analysis::AnalyzedCorpus& corpus, int label,
+    Rng& rng, std::vector<std::int32_t>* ids) const {
   ids->clear();
-  for (std::size_t i = 0; i < corpus.samples.size(); ++i) {
-    if (corpus.samples[i].label != label) continue;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (corpus.labels[i] != label) continue;
     for (const std::int32_t id : pre.script_ids[i]) {
       if (id >= 0) ids->push_back(id);
     }
@@ -143,11 +145,11 @@ ml::Matrix JsRevealer::sample_path_vectors(
   return vecs;
 }
 
-void JsRevealer::train(const dataset::Corpus& corpus) {
+void JsRevealer::train(const analysis::AnalyzedCorpus& corpus) {
   obs::Span train_span("core.train", "core");
   Rng rng(cfg_.seed);
   const std::size_t lint_dim = cfg_.lint_features ? lint::kLintFeatureDim : 0;
-  const std::size_t n_samples = corpus.samples.size();
+  const std::size_t n_samples = corpus.size();
   const Pretrained pre = pretrain(corpus, rng);
   Trained trained;
 
@@ -163,11 +165,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
     // skippable entirely for the ablation bench).
     Timer t_out;
     ml::OutlierConfig ocfg;
-    ocfg.k_neighbors = cfg_.outlier_k_neighbors;
     ocfg.threads = cfg_.threads;
-    ocfg.contamination = cfg_.skip_outlier_removal
-                             ? 0.0
-                             : cfg_.outlier_contamination;
     if (cfg_.run_outlier_selection && !cfg_.skip_outlier_removal) {
       outlier_method_ = ml::select_outlier_method(vecs, ocfg);
     }
@@ -312,7 +310,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   table.n_clusters = static_cast<std::uint32_t>(feature_dim);
   table.binary = cfg_.binary_cluster_features;
   ml::Matrix x(n_samples, feature_dim + lint_dim);
-  std::vector<int> y(n_samples);
   {
     obs::Span span("core.train.featurize", "core");
     parallel_for_threads(cfg_.threads, n_samples, [&](std::size_t i) {
@@ -322,7 +319,6 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
         std::copy(pre.lint_vecs[i].begin(), pre.lint_vecs[i].end(),
                   x.row(i) + feature_dim);
       }
-      y[i] = corpus.samples[i].label;
     });
   }
   trained.scaler.fit(x);
@@ -333,7 +329,7 @@ void JsRevealer::train(const dataset::Corpus& corpus) {
   fc.seed = cfg_.seed;
   fc.threads = cfg_.threads;
   trained.forest = ml::RandomForest(fc);
-  trained.forest.fit(x, y);
+  trained.forest.fit(x, corpus.labels);
   obs::stage_summary("classifier_train")
       ->observe(t_fit.elapsed_ms() /
                 static_cast<double>(std::max<std::size_t>(1, x.rows())));
@@ -379,11 +375,13 @@ std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
                                           int k_hi) const {
   // Path vectors are tanh(W[id]) of the embedding model train()'s stages
   // 1-2 pre-train on `corpus`, sampled as stage 3 samples them.
+  const analysis::AnalyzedCorpus analyzed =
+      detect::lazy_analyses(corpus, parse_limits_, deobfuscate_);
   Rng train_rng(cfg_.seed);
-  const Pretrained pre = pretrain(corpus, train_rng);
+  const Pretrained pre = pretrain(analyzed, train_rng);
   Rng rng(cfg_.seed + 7);
   std::vector<std::int32_t> ids;
-  const ml::Matrix vecs = sample_path_vectors(pre, corpus, label, rng, &ids);
+  const ml::Matrix vecs = sample_path_vectors(pre, analyzed, label, rng, &ids);
 
   std::vector<double> sse;
   for (int k = k_lo; k <= k_hi; ++k) {

@@ -47,7 +47,12 @@ class JsRevealer final : public ModelView {
   /// (paths::kMaxPathLength, paths::kMaxPathWidth).
   explicit JsRevealer(Config cfg = {});
 
-  void train(const dataset::Corpus& corpus) override;
+  using Detector::train;
+  /// Trains on `corpus` as analyzed: path extraction (and the lint tail)
+  /// force each script's parse in a cfg.threads-wide fan-out. train(sources)
+  /// analyzes with this detector's frontend, the default ParseLimits and
+  /// cfg.deobfuscate.
+  void train(const analysis::AnalyzedCorpus& corpus) override;
   std::string name() const override { return "JSRevealer"; }
 
   /// The lint tail's width (0 without lint features; read from the attached
@@ -63,11 +68,12 @@ class JsRevealer final : public ModelView {
   /// (Table VII). Empty before train().
   std::vector<FeatureReportEntry> feature_report(int n = 5) const;
 
-  /// SSE curve helper for the Fig. 5 elbow plot: runs train()'s stages 1-2
-  /// on `corpus` (the artifact carries no embedding matrix), samples one
-  /// class's path vectors as stage 3 does, clusters them at each K in
-  /// [k_lo, k_hi] and returns the SSE per K. `label` selects benign (0) /
-  /// malicious (1). Neither needs nor changes the trained model.
+  /// SSE curve helper for the Fig. 5 elbow plot: analyzes `corpus` as
+  /// train(sources) does, runs train()'s stages 1-2 on it (the artifact
+  /// carries no embedding matrix), samples one class's path vectors as
+  /// stage 3 does, clusters them at each K in [k_lo, k_hi] and returns the
+  /// SSE per K. `label` selects benign (0) / malicious (1). Neither needs
+  /// nor changes the trained model.
   std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
                                 int k_lo, int k_hi) const;
 
@@ -104,15 +110,15 @@ class JsRevealer final : public ModelView {
 
   /// Stages 1-2 of train(): path extraction (growing the vocabulary) and
   /// the embedding model's pre-training, which draws from `rng`.
-  Pretrained pretrain(const dataset::Corpus& corpus, Rng& rng) const;
+  Pretrained pretrain(const analysis::AnalyzedCorpus& corpus, Rng& rng) const;
 
   /// One class's path-vector sample (stage 3, sse_curve): the known path
   /// ids of every `label` script in sample order, shuffled by `rng`, cut to
   /// cfg.cluster_sample_per_class, one tanh(W[id]) row each. The sampled ids
   /// land in `ids`.
   ml::Matrix sample_path_vectors(const Pretrained& pre,
-                                 const dataset::Corpus& corpus, int label,
-                                 Rng& rng,
+                                 const analysis::AnalyzedCorpus& corpus,
+                                 int label, Rng& rng,
                                  std::vector<std::int32_t>* ids) const;
 
   /// Serializes the trained parameters.
@@ -121,6 +127,10 @@ class JsRevealer final : public ModelView {
 
   /// The attached bytes, after save_artifact()'s preconditions.
   std::span<const std::uint8_t> artifact_bytes() const;
+
+  // Vocabulary cap: paths first seen after this many ids are unknown. The
+  // artifact header records it.
+  static constexpr std::size_t kMaxVocab = 200000;
 
   Config cfg_;
   // The fitted forest's normalized importances (Table VII); the trees

@@ -359,7 +359,7 @@ ArtifactInfo ModelView::info() const {
 // ---------------------------------------------------------------------------
 // Inference
 
-void ModelView::train(const dataset::Corpus&) {
+void ModelView::train(const analysis::AnalyzedCorpus&) {
   throw std::logic_error(
       "ModelView is immutable; train a JsRevealer and save_artifact()");
 }

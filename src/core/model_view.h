@@ -104,8 +104,9 @@ class ModelView : public detect::Detector {
 
   bool loaded() const { return data_ != nullptr; }
 
+  using Detector::train;
   /// Immutable: training is JsRevealer's job.
-  void train(const dataset::Corpus& corpus) override;
+  void train(const analysis::AnalyzedCorpus& corpus) override;
 
   using Detector::classify;
   /// The one classify body: featurize, then the artifact's forest. Records
@@ -158,7 +159,6 @@ class ModelView : public detect::Detector {
     return header_.feature_dim + header_.lint_dim;
   }
   std::size_t vocab_size() const { return header_.vocab_size; }
-  std::size_t tree_count() const { return header_.n_trees; }
 
   /// Parallel width for classify_all (0 = hardware concurrency).
   std::size_t threads() const { return threads_; }

@@ -19,10 +19,6 @@ Linter::Linter(std::vector<std::unique_ptr<Rule>> rules)
   parse_failures_ = reg.counter("lint.parse_failures");
 }
 
-LintResult Linter::lint(const std::string& source) const {
-  return lint(analysis::ScriptAnalysis(source));
-}
-
 LintResult Linter::lint(const analysis::ScriptAnalysis& analysis) const {
   obs::Span span("lint.script", "lint");
   scripts_->add();
@@ -46,15 +42,6 @@ LintResult Linter::lint(const analysis::ScriptAnalysis& analysis) const {
     hits_[i]->add(result.diagnostics.size() - before);
   }
   return result;
-}
-
-std::vector<LintResult> Linter::lint_all(
-    const std::vector<std::string>& sources, std::size_t threads) const {
-  std::vector<LintResult> results(sources.size());
-  parallel_for_threads(threads, sources.size(), [&](std::size_t i) {
-    results[i] = lint(sources[i]);
-  });
-  return results;
 }
 
 std::vector<LintResult> Linter::lint_all(

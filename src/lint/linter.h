@@ -1,10 +1,11 @@
 // The lint driver: executes every registered rule over one script's shared
 // LintContext (AST + scope/data-flow/CFG analyses).
 //
-// Analyses come from the parse-once ScriptAnalysis layer: lint(analysis)
-// reuses whatever the caller (e.g. the detector's featurizer) already
-// computed, and the string overload builds a private ScriptAnalysis, so a
-// script is never parsed twice on lint's account.
+// Lint reads a ScriptAnalysis, the parse-once layer every detector reads:
+// it reuses whatever the caller (e.g. the detector's featurizer) already
+// computed, so a script is never parsed twice on lint's account. A caller
+// with raw text builds the analysis with the frontend it wants linted
+// (jsr_lint, the featurizer's model frontend).
 //
 // lint() is const and thread-safe (rules are stateless), so lint_all() fans
 // scripts out across the shared ThreadPool with the repository's determinism
@@ -38,20 +39,14 @@ class Linter {
 
   const std::vector<std::unique_ptr<Rule>>& rules() const { return rules_; }
 
-  /// Lints one script. Parse failures are reported in the result, not
-  /// thrown; rules run only on parseable input.
-  LintResult lint(const std::string& source) const;
-
-  /// Lints a pre-analyzed script, sharing its memoized scope/data-flow/CFG
-  /// artifacts with every other consumer of the same ScriptAnalysis.
+  /// Lints one analyzed script, sharing its memoized scope/data-flow/CFG
+  /// artifacts with every other consumer of the same ScriptAnalysis. Parse
+  /// failures are reported in the result, not thrown; rules run only on
+  /// parseable input.
   LintResult lint(const analysis::ScriptAnalysis& analysis) const;
 
-  /// Lints many scripts, fanning out per script at the given width
+  /// Lints many analyzed scripts, fanning out per script at the given width
   /// (0 = hardware concurrency, 1 = serial). Deterministic at any width.
-  std::vector<LintResult> lint_all(const std::vector<std::string>& sources,
-                                   std::size_t threads = 0) const;
-
-  /// Parse-once batch variant over pre-built analyses.
   std::vector<LintResult> lint_all(
       const std::vector<std::unique_ptr<analysis::ScriptAnalysis>>& scripts,
       std::size_t threads = 0) const;

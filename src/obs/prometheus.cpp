@@ -20,11 +20,6 @@ bool name_char_ok(char c) {
          (c >= '0' && c <= '9') || c == '_';
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 /// Escapes a label value per the exposition spec: \ " and newline.
 std::string escape_label_value(std::string_view v) {
   std::string out;
@@ -106,10 +101,10 @@ std::string prometheus_name(std::string_view registry_name, Unit unit) {
     name += name_char_ok(c) ? c : '_';
   }
   if (unit == Unit::kMillis) {
-    if (ends_with(name, "_ms")) name.resize(name.size() - 3);
+    if (name.ends_with("_ms")) name.resize(name.size() - 3);
     name += "_seconds";
   } else if (unit == Unit::kBytes) {
-    if (!ends_with(name, "_bytes")) name += "_bytes";
+    if (!name.ends_with("_bytes")) name += "_bytes";
   }
   return name;
 }
@@ -492,7 +487,7 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 
     // Histogram bookkeeping: attribute _bucket/_sum/_count rows to their
     // family when a histogram TYPE was declared.
-    if (ends_with(name, "_bucket")) {
+    if (name.ends_with("_bucket")) {
       const std::string fam = name.substr(0, name.size() - 7);
       const auto it = family_type.find(fam);
       if (it != family_type.end() && it->second == "histogram") {

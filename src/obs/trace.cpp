@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <ostream>
 
 #include "obs/json.h"
 
@@ -86,10 +85,6 @@ std::string Tracer::export_chrome_json(bool clear_after) {
   w.kv("displayTimeUnit", "ms");
   w.end_object();
   return w.str();
-}
-
-void Tracer::write_chrome_json(std::ostream& out, bool clear_after) {
-  out << export_chrome_json(clear_after) << "\n";
 }
 
 void Tracer::clear() {

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,7 +58,6 @@ class Tracer {
   /// Renders every buffered event as {"traceEvents": [...]} and, with
   /// clear_after, empties the buffers so a subsequent export starts fresh.
   std::string export_chrome_json(bool clear_after = false);
-  void write_chrome_json(std::ostream& out, bool clear_after = false);
 
   /// Drops all buffered events (buffers stay registered).
   void clear();

@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <climits>
 #include <cstdio>
 
@@ -25,37 +24,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     out += parts[i];
   }
   return out;
-}
-
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string replace_all(std::string s, std::string_view from,
-                        std::string_view to) {
-  if (from.empty()) return s;
-  std::string out;
-  out.reserve(s.size());
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t hit = s.find(from, pos);
-    if (hit == std::string::npos) {
-      out.append(s, pos, std::string::npos);
-      return out;
-    }
-    out.append(s, pos, hit - pos);
-    out.append(to);
-    pos = hit + from.size();
-  }
 }
 
 std::string fmt(double v, int prec) {

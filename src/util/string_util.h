@@ -15,16 +15,6 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// Joins `parts` with `sep` between elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Returns `s` with leading/trailing ASCII whitespace removed.
-std::string_view trim(std::string_view s);
-
-/// True if `s` ends with the given suffix.
-bool ends_with(std::string_view s, std::string_view suffix);
-
-/// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string s, std::string_view from,
-                        std::string_view to);
-
 /// Formats a double with `prec` digits after the decimal point.
 std::string fmt(double v, int prec = 1);
 

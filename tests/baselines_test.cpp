@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "analysis/script_analysis.h"
 #include "baselines/cujo.h"
 #include "baselines/detector.h"
 #include "baselines/jast.h"
@@ -9,6 +16,8 @@
 #include "baselines/ngram.h"
 #include "baselines/zozzle.h"
 #include "dataset/generator.h"
+#include "obfuscators/obfuscator.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace jsrev::detect {
@@ -81,9 +90,16 @@ TEST(L2Normalize, ZeroVectorUntouched) {
   EXPECT_DOUBLE_EQ(v[0], 0.0);
 }
 
+// The feature helpers read a ScriptAnalysis, as the detectors do.
+std::vector<std::string> cujo_tokens(const std::string& source) {
+  const analysis::ScriptAnalysis a(source);
+  EXPECT_NE(a.tokens(), nullptr) << source;
+  return a.tokens() != nullptr ? Cujo::normalize_tokens(*a.tokens())
+                               : std::vector<std::string>{};
+}
+
 TEST(Cujo, TokenNormalization) {
-  const auto toks = Cujo::normalize_tokens(
-      "var count = 42; f(\"short\", /re/);");
+  const auto toks = cujo_tokens("var count = 42; f(\"short\", /re/);");
   // identifiers -> ID, numbers -> NUM, strings bucketed, regex -> REGEX.
   int id = 0, num = 0, str = 0, regex = 0;
   for (const auto& t : toks) {
@@ -99,16 +115,17 @@ TEST(Cujo, TokenNormalization) {
 }
 
 TEST(Cujo, LongStringBucket) {
-  const auto toks = Cujo::normalize_tokens(
-      "var s = \"aaaaaaaaaaaaaaaaaaaaaaaaaaaa\";");
+  const auto toks = cujo_tokens("var s = \"aaaaaaaaaaaaaaaaaaaaaaaaaaaa\";");
   bool found = false;
   for (const auto& t : toks) found = found || t == "STR.long";
   EXPECT_TRUE(found);
 }
 
 TEST(Zozzle, ContextFeatures) {
-  const auto feats = Zozzle::context_features(
+  const analysis::ScriptAnalysis a(
       "function f() { if (x) { evil(); } } top();");
+  ASSERT_FALSE(a.parse_failed()) << a.parse_error();
+  const auto feats = Zozzle::context_features(a);
   bool in_if = false, in_script = false;
   for (const auto& f : feats) {
     if (f.rfind("if:", 0) == 0) in_if = true;
@@ -119,14 +136,18 @@ TEST(Zozzle, ContextFeatures) {
 }
 
 TEST(Jast, UnitSequencePreorder) {
-  const auto units = Jast::unit_sequence("var x = 1;");
+  const analysis::ScriptAnalysis a("var x = 1;");
+  ASSERT_FALSE(a.parse_failed()) << a.parse_error();
+  const auto units = Jast::unit_sequence(a);
   ASSERT_GE(units.size(), 4u);
   EXPECT_EQ(units[0], "Program");
   EXPECT_EQ(units[1], "VariableDeclaration");
 }
 
 TEST(Jstap, WalksIncludeEdgeAnnotations) {
-  const auto walks = Jstap::pdg_walks("var a = 1; use(a);");
+  const analysis::ScriptAnalysis a("var a = 1; use(a);");
+  ASSERT_FALSE(a.parse_failed()) << a.parse_error();
+  const auto walks = Jstap::pdg_walks(a);
   ASSERT_FALSE(walks.empty());
   bool has_data_edge = false;
   for (const auto& w : walks) {
@@ -138,7 +159,9 @@ TEST(Jstap, WalksIncludeEdgeAnnotations) {
 }
 
 TEST(Jstap, ControlEdgesForBranches) {
-  const auto walks = Jstap::pdg_walks("if (x) { a(); }");
+  const analysis::ScriptAnalysis a("if (x) { a(); }");
+  ASSERT_FALSE(a.parse_failed()) << a.parse_error();
+  const auto walks = Jstap::pdg_walks(a);
   bool has_control_edge = false;
   for (const auto& w : walks) {
     for (const auto& tok : w) {
@@ -172,6 +195,62 @@ TEST_P(BaselineSweep, UnanalyzableInputClassifiedMalicious) {
 TEST_P(BaselineSweep, NameMatchesKind) {
   auto detector = make_baseline(GetParam(), 1);
   EXPECT_EQ(detector->name(), baseline_kind_name(GetParam()));
+}
+
+// Verdict digests over the bench protocol's five conditions (small_split(42)'s
+// test set and its four obfuscated copies, 250 scripts), with the deob
+// frontend off and on: the detector trains on the training set analyzed with
+// that frontend and classifies each condition analyzed the same way. The
+// pins were recorded from the tree in which each train body analyzed raw
+// text itself and the deob condition trained on deob::deobfuscate_source's
+// printed output (the bench harness's former pre-pass), so they hold that
+// training on a shared, deob-normalized AnalyzedCorpus changes no verdict.
+// Digest: FNV-1a over one byte per verdict, conditions in order.
+TEST_P(BaselineSweep, VerdictsPinnedOverConditionsWithDeobOffAndOn) {
+  // kind -> {deob off, deob on}
+  const std::map<BaselineKind, std::pair<std::uint64_t, std::uint64_t>>
+      pinned = {
+          {BaselineKind::kCujo, {0x84c80838504c3cbcULL, 0xb149ae6d726ff6c6ULL}},
+          {BaselineKind::kZozzle,
+           {0x4523cf5c442fd0a0ULL, 0x47303ea389e5b63cULL}},
+          {BaselineKind::kJast, {0xb078204f7e8ab36eULL, 0x36226c010400e60bULL}},
+          {BaselineKind::kJstap,
+           {0x34ceb0a1667629ccULL, 0xf994b3e3d511ec6dULL}},
+      };
+  const dataset::Split split = small_split(42);
+  std::vector<dataset::Corpus> conditions = {split.test};
+  for (const obf::ObfuscatorKind kind : obf::kAllObfuscators) {
+    const auto obfuscator = obf::make_obfuscator(kind);
+    Rng rng(42 ^ 0x5555);
+    dataset::Corpus c = split.test;
+    for (auto& s : c.samples) {
+      try {
+        s.source = obfuscator->obfuscate(s.source, rng());
+      } catch (const std::exception&) {
+        // keep the original on transform failure, as the bench harness does
+      }
+    }
+    conditions.push_back(std::move(c));
+  }
+
+  for (const bool deob : {false, true}) {
+    auto detector = make_baseline(GetParam(), 7);
+    detector->train(analyze_corpus(split.train, 0, {}, deob));
+    std::uint64_t h = fnv1a64_begin();
+    std::size_t n = 0;
+    for (const dataset::Corpus& c : conditions) {
+      const analysis::AnalyzedCorpus analyzed = analyze_corpus(c, 0, {}, deob);
+      for (const auto& script : analyzed.scripts) {
+        const char v = static_cast<char>(detector->classify(*script));
+        h = fnv1a64_step(h, std::string_view(&v, 1));
+        ++n;
+      }
+    }
+    EXPECT_EQ(n, 250u);
+    const auto& pin = pinned.at(GetParam());
+    EXPECT_EQ(h, deob ? pin.second : pin.first)
+        << detector->name() << " deob=" << deob;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineSweep,

@@ -23,8 +23,13 @@ namespace {
 
 class LintRules : public ::testing::Test {
  protected:
+  // Lints `source` through a fresh ScriptAnalysis, the linter's one input.
+  LintResult lint_source(const std::string& source) const {
+    return linter_.lint(analysis::ScriptAnalysis(source));
+  }
+
   std::vector<Diagnostic> lint(const std::string& source) {
-    const LintResult r = linter_.lint(source);
+    const LintResult r = lint_source(source);
     EXPECT_FALSE(r.parse_failed) << r.parse_error;
     return r.diagnostics;
   }
@@ -200,7 +205,7 @@ TEST_F(LintRules, DiagnosticCarriesSpanAndExcerpt) {
 
 TEST_F(LintRules, ParseFailureIsReportedNotThrown) {
   LintResult r;
-  EXPECT_NO_THROW(r = linter_.lint("var = ;"));
+  EXPECT_NO_THROW(r = lint_source("var = ;"));
   EXPECT_TRUE(r.parse_failed);
   EXPECT_FALSE(r.parse_error.empty());
   EXPECT_TRUE(r.diagnostics.empty());
@@ -210,7 +215,7 @@ TEST_F(LintRules, ParseFailureIsReportedNotThrown) {
 
 TEST_F(LintRules, FeatureVectorShape) {
   EXPECT_EQ(lint_feature_names().size(), kLintFeatureDim);
-  const LintResult r = linter_.lint("eval(payload);");
+  const LintResult r = lint_source("eval(payload);");
   const std::vector<double> f = lint_feature_vector(r);
   ASSERT_EQ(f.size(), kLintFeatureDim);
   EXPECT_DOUBLE_EQ(f[0], 1.0);  // one malice diagnostic
@@ -220,15 +225,13 @@ TEST_F(LintRules, FeatureVectorShape) {
 }
 
 TEST_F(LintRules, FeatureVectorZeroOnParseFailure) {
-  const std::vector<double> f =
-      lint_feature_vector(linter_.lint("function ("));
+  const std::vector<double> f = lint_feature_vector(lint_source("function ("));
   for (const double v : f) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST_F(LintRules, FeatureVectorCountsDistinctRulesOnce) {
   // Two M01 hits + one H02: malice=2, distinct rules=2.
-  const LintResult r =
-      linter_.lint("eval(a); eval(b); leak = 1;");
+  const LintResult r = lint_source("eval(a); eval(b); leak = 1;");
   const std::vector<double> f = lint_feature_vector(r);
   EXPECT_DOUBLE_EQ(f[0], 2.0);
   EXPECT_DOUBLE_EQ(f[1], 1.0);
@@ -239,7 +242,7 @@ TEST_F(LintRules, FeatureVectorCountsDistinctRulesOnce) {
 
 TEST_F(LintRules, TextReportMentionsRuleAndSeverity) {
   std::vector<NamedResult> named;
-  named.push_back({"sample.js", linter_.lint("eval(payload);")});
+  named.push_back({"sample.js", lint_source("eval(payload);")});
   const std::string text = render_text(named);
   EXPECT_NE(text.find("sample.js:1"), std::string::npos);
   EXPECT_NE(text.find("[M01/eval-non-literal]"), std::string::npos);
@@ -248,7 +251,7 @@ TEST_F(LintRules, TextReportMentionsRuleAndSeverity) {
 
 TEST_F(LintRules, JsonReportIsStructured) {
   std::vector<NamedResult> named;
-  named.push_back({"a \"quoted\" name.js", linter_.lint("eval(p);")});
+  named.push_back({"a \"quoted\" name.js", lint_source("eval(p);")});
   const std::string json = render_json(named);
   EXPECT_NE(json.find("\"rule_id\":\"M01\""), std::string::npos);
   EXPECT_NE(json.find("\"a \\\"quoted\\\" name.js\""), std::string::npos);
@@ -308,8 +311,6 @@ TEST_F(LintRules, LintAllDeterministicAcrossWidths) {
   gc.benign_count = 20;
   gc.malicious_count = 20;
   const dataset::Corpus corpus = dataset::generate_corpus(gc);
-  std::vector<std::string> sources;
-  for (const auto& s : corpus.samples) sources.push_back(s.source);
 
   auto fingerprint = [](const std::vector<LintResult>& rs) {
     std::string fp;
@@ -322,10 +323,19 @@ TEST_F(LintRules, LintAllDeterministicAcrossWidths) {
     }
     return fp;
   };
-  const std::string serial = fingerprint(linter_.lint_all(sources, 1));
-  EXPECT_EQ(fingerprint(linter_.lint_all(sources, 2)), serial);
-  EXPECT_EQ(fingerprint(linter_.lint_all(sources, 4)), serial);
-  EXPECT_EQ(fingerprint(linter_.lint_all(sources, 8)), serial);
+  // A fresh analysis set per width, so each width's fan-out also runs the
+  // parse and the scope/data-flow/CFG analyses the rules read.
+  auto lint_at = [&](std::size_t threads) {
+    std::vector<std::unique_ptr<analysis::ScriptAnalysis>> scripts;
+    for (const auto& s : corpus.samples) {
+      scripts.push_back(std::make_unique<analysis::ScriptAnalysis>(s.source));
+    }
+    return fingerprint(linter_.lint_all(scripts, threads));
+  };
+  const std::string serial = lint_at(1);
+  EXPECT_EQ(lint_at(2), serial);
+  EXPECT_EQ(lint_at(4), serial);
+  EXPECT_EQ(lint_at(8), serial);
 }
 
 // ---- property: never throws on obfuscated output -------------------------
@@ -344,7 +354,7 @@ TEST_F(LintRules, NeverThrowsOnObfuscatedScripts) {
     for (std::size_t i = 0; i < raw.size(); ++i) {
       const std::string obfuscated = obfuscator->obfuscate(raw[i], 1000 + i);
       LintResult r;
-      ASSERT_NO_THROW(r = linter_.lint(obfuscated))
+      ASSERT_NO_THROW(r = lint_source(obfuscated))
           << obfuscator->name() << " script " << i;
       EXPECT_FALSE(r.parse_failed)
           << obfuscator->name() << " script " << i << ": " << r.parse_error;

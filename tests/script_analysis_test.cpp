@@ -1,9 +1,9 @@
 // Tests for the parse-once ScriptAnalysis artifact and its integration with
 // every detector: memoization (exactly one js::parse per script no matter
 // how many consumers), the shared unparseable-input convention, and
-// bit-identical verdicts between classify(source), which analyzes each call
-// afresh, and a shared pre-parsed AnalyzedCorpus, across obfuscators and
-// thread widths.
+// bit-identical results between the source entries (classify(source) and
+// train(corpus), which analyze afresh) and a shared pre-parsed
+// AnalyzedCorpus, across obfuscators and thread widths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -313,6 +313,62 @@ TEST(SharedAnalysisIntegration, MultiDetectorEvaluationParsesOncePerScript) {
         << detectors[i]->name();
   }
   EXPECT_EQ(js::parse_invocations() - before_eval, 0u);
+}
+
+// Acceptance: training all five detectors on one shared AnalyzedCorpus adds
+// no parse (analyze_corpus parsed each script once). The same training on
+// the raw corpus costs four parses per script: each detector analyzes the
+// corpus with its own frontend, and CUJO only lexes. Both ways give every
+// detector the same verdicts, and JSRevealer the same artifact bytes at
+// widths 1, 2 and 8 (the baselines have no width, so they train once).
+TEST(SharedAnalysisIntegration, MultiDetectorTrainingParsesOncePerScript) {
+  const SharedFixture& f = SharedFixture::instance();
+  const std::size_t n = f.train.samples.size();
+  const std::uint64_t before_build = js::parse_invocations();
+  const analysis::AnalyzedCorpus train = detect::analyze_corpus(f.train);
+  EXPECT_EQ(js::parse_invocations() - before_build, n);
+
+  const analysis::AnalyzedCorpus test = detect::analyze_corpus(f.merged);
+  const auto verdicts = [&test](const detect::Detector& d) {
+    std::vector<int> v;
+    for (const auto& script : test.scripts) v.push_back(d.classify(*script));
+    return v;
+  };
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    const auto make_detectors = [threads] {
+      std::vector<std::unique_ptr<detect::Detector>> ds;
+      ds.push_back(std::make_unique<core::JsRevealer>(small_config(threads)));
+      if (threads == 1) {
+        for (const detect::BaselineKind kind : detect::kAllBaselines) {
+          ds.push_back(detect::make_baseline(kind, 77));
+        }
+      }
+      return ds;
+    };
+    const auto raw = make_detectors();
+    const std::uint64_t before_raw = js::parse_invocations();
+    for (const auto& d : raw) d->train(f.train);
+    EXPECT_EQ(js::parse_invocations() - before_raw, (threads == 1 ? 4 : 1) * n)
+        << "threads=" << threads;
+
+    const auto shared = make_detectors();
+    const std::uint64_t before_shared = js::parse_invocations();
+    for (const auto& d : shared) d->train(train);
+    EXPECT_EQ(js::parse_invocations() - before_shared, 0u)
+        << "threads=" << threads;
+
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      EXPECT_EQ(verdicts(*shared[i]), verdicts(*raw[i]))
+          << raw[i]->name() << " threads=" << threads;
+    }
+    const auto artifact = [](const detect::Detector& d) {
+      return static_cast<const core::JsRevealer&>(d).save_artifact();
+    };
+    EXPECT_TRUE(artifact(*shared[0]) == artifact(*raw[0]))
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -184,17 +184,6 @@ TEST(StringUtil, Join) {
   EXPECT_EQ(join({}, ","), "");
 }
 
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  x  "), "x");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-}
-
-TEST(StringUtil, ReplaceAll) {
-  EXPECT_EQ(replace_all("aaa", "a", "bb"), "bbbbbb");
-  EXPECT_EQ(replace_all("xyz", "q", "r"), "xyz");
-}
-
 TEST(StringUtil, JsEscape) {
   EXPECT_EQ(js_escape("a\"b"), "a\\\"b");
   EXPECT_EQ(js_escape("a\nb"), "a\\nb");

@@ -1,7 +1,8 @@
 // jsr_stats: observability front door. Runs a small end-to-end evaluation
-// (JSRevealer + the four baselines over a generated corpus, shared
-// AnalyzedCorpus) so every instrumented layer reports into the process-wide
-// registry and tracer, then emits the requested artifacts:
+// (JSRevealer + the four baselines over a generated corpus, trained on one
+// shared AnalyzedCorpus and tested on another) so every instrumented layer
+// reports into the process-wide registry and tracer, then emits the
+// requested artifacts:
 //
 //   --metrics PATH|-     full metrics JSON (Registry::to_json); "-" = stdout
 //   --metrics-table      human-readable metrics table on stdout
@@ -133,9 +134,9 @@ bool validate_artifact(const std::string& path) {
 }
 
 /// Exercises every instrumented layer: trains JSRevealer and the four
-/// baselines on a generated corpus and evaluates all five over one shared
-/// AnalyzedCorpus (the parse-once path), populating the registry and — when
-/// tracing is on — the span buffers.
+/// baselines on one shared AnalyzedCorpus of a generated corpus and
+/// evaluates all five over another (the parse-once path), populating the
+/// registry and — when tracing is on — the span buffers.
 std::unique_ptr<core::JsRevealer> run_evaluation(const Options& opt) {
   dataset::GeneratorConfig gc;
   gc.seed = opt.seed;
@@ -151,13 +152,15 @@ std::unique_ptr<core::JsRevealer> run_evaluation(const Options& opt) {
   cfg.seed = opt.seed;
   cfg.threads = opt.threads;
   cfg.lint_features = true;  // exercise the lint tail's instrumentation too
+  const analysis::AnalyzedCorpus train =
+      detect::analyze_corpus(split.train, opt.threads);
   auto det = std::make_unique<core::JsRevealer>(cfg);
-  det->train(split.train);
+  det->train(train);
 
   std::vector<std::unique_ptr<detect::Detector>> baselines;
   for (const detect::BaselineKind kind : detect::kAllBaselines) {
     baselines.push_back(detect::make_baseline(kind, opt.seed));
-    baselines.back()->train(split.train);
+    baselines.back()->train(train);
   }
 
   const analysis::AnalyzedCorpus analyzed =
