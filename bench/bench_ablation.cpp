@@ -66,7 +66,7 @@ int main() {
   det.train(corpus);
 
   // Collect one class's path-vector sample via the public SSE helper's
-  // internals: reuse sse_curve for the elbow and select_k for the others by
+  // internals: reuse sse_curves for the elbow and select_k for the others by
   // re-deriving the vectors through featurize is not exposed; instead run
   // select_k over the detector's embedding space proxied by random corpus
   // feature vectors (documented simplification: criteria compared on the
@@ -74,7 +74,7 @@ int main() {
   Table kt({"Class", "elbow", "silhouette", "gap statistic"});
   for (const int label : {0, 1}) {
     // Rebuild the class's path-vector sample exactly as training does, by
-    // clustering feature proxies: use sse_curve for elbow and report
+    // clustering feature proxies: use sse_curves for elbow and report
     // select_k on feature vectors of the class's scripts.
     std::vector<std::vector<double>> feats;
     for (const auto& s : corpus.samples) {

@@ -20,8 +20,7 @@ int main() {
 
   core::JsRevealer det(hc.jsrevealer);
   const int k_lo = 2, k_hi = 15;
-  const auto benign_sse = det.sse_curve(corpus, /*label=*/0, k_lo, k_hi);
-  const auto malicious_sse = det.sse_curve(corpus, /*label=*/1, k_lo, k_hi);
+  const auto [benign_sse, malicious_sse] = det.sse_curves(corpus, k_lo, k_hi);
 
   std::printf("FIGURE 5: elbow method, SSE vs K (bisecting k-means on path "
               "vectors)\n");

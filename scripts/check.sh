@@ -58,12 +58,14 @@ echo "== jsr_deob smoke (ASan+UBSan)"
 # Fixed-seed mutational fuzz pass under the same sanitizer build: every
 # iteration checks the five frontend oracles (never-crash, print→reparse
 # round trip, obfuscate-still-parses, linter totality, deob totality +
-# idempotence — plus the up-front deob verdict sweep and the artifact
-# corruption sweep O6: truncated/bit-flipped JSRM artifacts must raise
-# ModelFormatError, never crash or silently change verdicts, and resealed
-# payload flips must raise ModelFormatError or classify without a crash or
-# an exception). Deterministic, so a failure here reproduces with the same
-# command. Throughput lands in BENCH_fuzz.json.
+# idempotence at one scope analysis, and each deob pass leaving the tree
+# untouched whenever it reports no change — plus the up-front deob verdict
+# sweep and the artifact corruption sweep O6: truncated/bit-flipped JSRM
+# artifacts must raise ModelFormatError, never crash or silently change
+# verdicts, and resealed payload flips must raise ModelFormatError or
+# classify without a crash or an exception). Deterministic, so a failure
+# here reproduces with the same command. Throughput lands in
+# BENCH_fuzz.json.
 echo "== jsr_fuzz smoke (seed 1, 2000 iters, ASan+UBSan)"
 "${BUILD_DIR}/tools/jsr_fuzz" --seed 1 --iters 2000 --quiet \
     --json "${BUILD_DIR}/BENCH_fuzz.json"

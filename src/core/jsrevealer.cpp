@@ -370,28 +370,31 @@ std::vector<FeatureReportEntry> JsRevealer::feature_report(int n) const {
   return out;
 }
 
-std::vector<double> JsRevealer::sse_curve(const dataset::Corpus& corpus,
-                                          int label, int k_lo,
-                                          int k_hi) const {
+std::array<std::vector<double>, 2> JsRevealer::sse_curves(
+    const dataset::Corpus& corpus, int k_lo, int k_hi) const {
   // Path vectors are tanh(W[id]) of the embedding model train()'s stages
   // 1-2 pre-train on `corpus`, sampled as stage 3 samples them.
   const analysis::AnalyzedCorpus analyzed =
       detect::lazy_analyses(corpus, parse_limits_, deobfuscate_);
   Rng train_rng(cfg_.seed);
   const Pretrained pre = pretrain(analyzed, train_rng);
-  Rng rng(cfg_.seed + 7);
-  std::vector<std::int32_t> ids;
-  const ml::Matrix vecs = sample_path_vectors(pre, analyzed, label, rng, &ids);
 
-  std::vector<double> sse;
-  for (int k = k_lo; k <= k_hi; ++k) {
-    ml::KMeansConfig kc;
-    kc.k = k;
-    kc.seed = cfg_.seed + static_cast<std::uint64_t>(k);
-    kc.threads = cfg_.threads;
-    sse.push_back(ml::bisecting_kmeans(vecs, kc).sse);
+  std::array<std::vector<double>, 2> curves;
+  for (int label = 0; label < 2; ++label) {
+    Rng rng(cfg_.seed + 7);  // each class's sample draws from a fresh stream
+    std::vector<std::int32_t> ids;
+    const ml::Matrix vecs =
+        sample_path_vectors(pre, analyzed, label, rng, &ids);
+    for (int k = k_lo; k <= k_hi; ++k) {
+      ml::KMeansConfig kc;
+      kc.k = k;
+      kc.seed = cfg_.seed + static_cast<std::uint64_t>(k);
+      kc.threads = cfg_.threads;
+      curves[static_cast<std::size_t>(label)].push_back(
+          ml::bisecting_kmeans(vecs, kc).sse);
+    }
   }
-  return sse;
+  return curves;
 }
 
 }  // namespace jsrev::core

@@ -13,6 +13,7 @@
 // runs: train() books the training stages, ModelView the per-request ones.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -68,14 +69,14 @@ class JsRevealer final : public ModelView {
   /// (Table VII). Empty before train().
   std::vector<FeatureReportEntry> feature_report(int n = 5) const;
 
-  /// SSE curve helper for the Fig. 5 elbow plot: analyzes `corpus` as
-  /// train(sources) does, runs train()'s stages 1-2 on it (the artifact
-  /// carries no embedding matrix), samples one class's path vectors as
-  /// stage 3 does, clusters them at each K in [k_lo, k_hi] and returns the
-  /// SSE per K. `label` selects benign (0) / malicious (1). Neither needs
-  /// nor changes the trained model.
-  std::vector<double> sse_curve(const dataset::Corpus& corpus, int label,
-                                int k_lo, int k_hi) const;
+  /// SSE curves for the Fig. 5 elbow plot: analyzes `corpus` as
+  /// train(sources) does, runs train()'s stages 1-2 on it once (the artifact
+  /// carries no embedding matrix), then for each class samples its path
+  /// vectors as stage 3 does, clusters them at each K in [k_lo, k_hi] and
+  /// records the SSE per K. Indexed by label: benign (0), malicious (1).
+  /// Neither needs nor changes the trained model.
+  std::array<std::vector<double>, 2> sse_curves(const dataset::Corpus& corpus,
+                                                int k_lo, int k_hi) const;
 
   /// The trained model as a JSRM v4 artifact (core/model_format.h):
   /// page-aligned sections with per-section checksums, mappable read-only by
@@ -112,7 +113,7 @@ class JsRevealer final : public ModelView {
   /// the embedding model's pre-training, which draws from `rng`.
   Pretrained pretrain(const analysis::AnalyzedCorpus& corpus, Rng& rng) const;
 
-  /// One class's path-vector sample (stage 3, sse_curve): the known path
+  /// One class's path-vector sample (stage 3, sse_curves): the known path
   /// ids of every `label` script in sample order, shuffled by `rng`, cut to
   /// cfg.cluster_sample_per_class, one tanh(W[id]) row each. The sampled ids
   /// land in `ids`.

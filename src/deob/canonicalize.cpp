@@ -131,9 +131,8 @@ bool is_declarator_id(const Node* n) {
 /// re-declaration gives duplicate declarations (common in generated code)
 /// and flatten_block's hoisted decomposition one shared normal form: `var`
 /// appears once, at the first declaration; later writes are assignments.
-int demote_redeclarations(js::Ast& ast) {
+int demote_redeclarations(js::Ast& ast, const ScopeInfo& scopes) {
   js::AstArena& arena = ast.arena;
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
 
   // First declarator occurrence per symbol (references are preorder).
   std::unordered_map<const Symbol*, const Node*> first_decl;
@@ -200,9 +199,8 @@ int demote_redeclarations(js::Ast& ast) {
   return changes;
 }
 
-int reform_vars(js::Ast& ast) {
+int reform_vars(js::Ast& ast, const ScopeInfo& scopes) {
   js::AstArena& arena = ast.arena;
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
   int changes = 0;
 
   for (js::ChildList* list : detail::function_body_lists(ast.root)) {
@@ -403,8 +401,7 @@ int reform_vars(js::Ast& ast) {
 // 4. Deterministic renaming.
 // ---------------------------------------------------------------------------
 
-int rename_identifiers(js::Ast& ast) {
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
+int rename_identifiers(js::Ast& ast, const ScopeInfo& scopes) {
 
   std::unordered_set<std::string_view> taken;  // external names stay put
   for (const auto& sym : scopes.symbols()) {
@@ -458,17 +455,13 @@ class CanonicalizePass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "canonicalize"; }
 
-  int run(js::Ast& ast) override {
-    int changes = 0;
-    const auto step = [&ast, &changes](int c) {
-      if (c > 0) js::finalize_tree(ast.root);
-      changes += c;
-    };
-    step(splice_blocks(ast));
-    step(hoist_functions(ast));
-    step(demote_redeclarations(ast));
-    step(reform_vars(ast));
-    step(rename_identifiers(ast));
+  int run(PassContext& ctx) const override {
+    js::Ast& ast = ctx.ast();
+    int changes = ctx.changed(splice_blocks(ast));
+    changes += ctx.changed(hoist_functions(ast));
+    changes += ctx.changed(demote_redeclarations(ast, ctx.scopes()));
+    changes += ctx.changed(reform_vars(ast, ctx.scopes()));
+    changes += ctx.changed(rename_identifiers(ast, ctx.scopes()));
     return changes;
   }
 };

@@ -29,7 +29,9 @@
 //
 // The pass-manager (Deobfuscator) iterates the pipeline until an iteration
 // reports zero changes or an iteration cap trips; per-pass change counts land
-// in the obs registry as deob.pass_changes{pass=...}.
+// in the obs registry as deob.pass_changes{pass=...}. Every pass of one run
+// shares a PassContext, which holds the tree's scope analysis from its first
+// use until a pass reports a change, so an unchanged tree is analyzed once.
 //
 // Design target: deob is a *normalizer*, not an exact inverter. Wherever an
 // obfuscation is ambiguous to invert, the same canonical form is applied to
@@ -41,10 +43,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/scope.h"
 #include "js/ast.h"
 #include "js/parse_limits.h"
 #include "js/printer.h"
@@ -60,14 +64,42 @@ struct DeobOptions {
   int max_iterations = 12;
 };
 
-/// One AST-to-AST normalization pass. `run` must keep the tree finalized
-/// (ids/parents assigned) and return the number of changes applied; zero
-/// means the pass is at a fixpoint for this tree.
+/// One pipeline run's hold on the tree it normalizes. scopes() is the scope
+/// analysis of the tree as it stands: computed on first use, then reused
+/// until changed() reports a tree change, which drops it and refinalizes the
+/// tree (ids/parents). analyze_scopes is a pure function of the finalized
+/// tree, so the reused analysis equals a fresh one as long as every write to
+/// the tree is reported before the next scopes() call. Lives for one run.
+class PassContext {
+ public:
+  /// Finalizes `ast`, as scope analysis requires.
+  explicit PassContext(js::Ast& ast);
+
+  js::Ast& ast() noexcept { return ast_; }
+  const analysis::ScopeInfo& scopes();
+
+  /// Reports `c` changes to the tree and returns `c`. c > 0 drops the cached
+  /// analysis, then refinalizes the tree.
+  int changed(int c);
+
+  /// Scope analyses computed so far.
+  int scope_analyses() const noexcept { return scope_analyses_; }
+
+ private:
+  js::Ast& ast_;
+  std::optional<analysis::ScopeInfo> scopes_;
+  int scope_analyses_ = 0;
+};
+
+/// One AST-to-AST normalization pass. `run` reports every change it makes to
+/// ctx.ast() through ctx.changed() and returns the number of changes applied;
+/// zero means the pass is at a fixpoint for this tree and left it untouched.
+/// Passes hold no per-run state, so one may run on several trees at once.
 class Pass {
  public:
   virtual ~Pass() = default;
   virtual std::string_view name() const noexcept = 0;
-  virtual int run(js::Ast& ast) = 0;
+  virtual int run(PassContext& ctx) const = 0;
 };
 
 std::unique_ptr<Pass> make_fold_constants_pass();
@@ -89,11 +121,13 @@ struct PipelineResult {
   int iterations = 0;
   bool reached_fixpoint = false;
   int total_changes = 0;
+  int scope_analyses = 0;  // PassContext::scope_analyses() at the end
   std::vector<PassTotals> per_pass;  // pipeline order, summed over iterations
 };
 
 /// The fixpoint pass-manager. Thread-compatible: one Deobfuscator may be
-/// shared across threads (run() only touches the Ast it is given).
+/// shared across threads (run() touches only the Ast it is given and the
+/// PassContext it builds for it; the passes are const).
 class Deobfuscator {
  public:
   explicit Deobfuscator(DeobOptions opts = {});

@@ -71,15 +71,15 @@ bool decode_unescape(std::string_view s, std::string& out) {
   return true;
 }
 
-class FoldConstantsPass final : public Pass {
+/// One fold-constants run over one tree: the arena replacements come from
+/// and the changes applied so far.
+class Folder {
  public:
-  std::string_view name() const noexcept override { return "fold-constants"; }
+  explicit Folder(js::AstArena& arena) : arena_(arena) {}
 
-  int run(js::Ast& ast) override {
-    changes_ = 0;
-    arena_ = &ast.arena;
-    fold(ast.root);
-    if (changes_ > 0) js::finalize_tree(ast.root);
+  /// Folds the tree under `root` bottom-up; returns the changes applied.
+  int fold_tree(Node* root) {
+    fold(root);
     return changes_;
   }
 
@@ -93,12 +93,12 @@ class FoldConstantsPass final : public Pass {
 
   void replace_with_number(Node* target, double v) {
     if (v < 0) {
-      Node* neg = arena_->make(NodeKind::kUnaryExpression);
+      Node* neg = arena_.make(NodeKind::kUnaryExpression);
       neg->str = "-";
-      neg->children.push_back(arena_->number_literal(-v));
+      neg->children.push_back(arena_.number_literal(-v));
       replace(target, neg);
     } else {
-      replace(target, arena_->number_literal(v));
+      replace(target, arena_.number_literal(v));
     }
   }
 
@@ -130,7 +130,7 @@ class FoldConstantsPass final : public Pass {
     if (op == "+" && (is_string_literal(l) || is_string_literal(r))) {
       const std::optional<std::string> a = string_value(l);
       const std::optional<std::string> b = string_value(r);
-      if (a && b) replace(n, arena_->string_literal(*a + *b));
+      if (a && b) replace(n, arena_.string_literal(*a + *b));
       return;
     }
 
@@ -161,7 +161,7 @@ class FoldConstantsPass final : public Pass {
       else if (op == "==" || op == "===") v = *a == *b;
       else v = *a != *b;
       if (std::isnan(*a) || std::isnan(*b)) return;  // unreachable: no NaN
-      replace(n, arena_->bool_literal(v));
+      replace(n, arena_.bool_literal(v));
       return;
     }
   }
@@ -169,7 +169,7 @@ class FoldConstantsPass final : public Pass {
   void fold_unary(Node* n) {
     if (n->str != "!") return;
     const std::optional<bool> t = literal_truthiness(n->children[0]);
-    if (t) replace(n, arena_->bool_literal(!*t));
+    if (t) replace(n, arena_.bool_literal(!*t));
   }
 
   void fold_logical(Node* n) {
@@ -203,14 +203,14 @@ class FoldConstantsPass final : public Pass {
         if (!v || *v != std::floor(*v) || *v < 0 || *v > 127) return;
         out += static_cast<char>(static_cast<int>(*v));
       }
-      replace(n, arena_->string_literal(out));
+      replace(n, arena_.string_literal(out));
       return;
     }
     if (n->children.size() != 2 || !is_string_literal(n->children[1])) return;
     if (is_identifier(callee, "unescape")) {
       std::string decoded;
       if (decode_unescape(n->children[1]->str.view(), decoded)) {
-        replace(n, arena_->string_literal(decoded));
+        replace(n, arena_.string_literal(decoded));
       }
       return;
     }
@@ -220,7 +220,7 @@ class FoldConstantsPass final : public Pass {
       // rewrite a reachable throw into a silently truncated string.
       const std::string_view enc = n->children[1]->str.view();
       if (const std::optional<std::string> dec = base64_decode_strict(enc)) {
-        replace(n, arena_->string_literal(*dec));
+        replace(n, arena_.string_literal(*dec));
       }
       return;
     }
@@ -254,12 +254,21 @@ class FoldConstantsPass final : public Pass {
       return;
     }
     n->flags &= static_cast<std::uint8_t>(~Node::kComputed);
-    n->children[1] = arena_->identifier(prop->str.view());
+    n->children[1] = arena_.identifier(prop->str.view());
     ++changes_;
   }
 
-  js::AstArena* arena_ = nullptr;
+  js::AstArena& arena_;
   int changes_ = 0;
+};
+
+class FoldConstantsPass final : public Pass {
+ public:
+  std::string_view name() const noexcept override { return "fold-constants"; }
+
+  int run(PassContext& ctx) const override {
+    return ctx.changed(Folder(ctx.ast().arena).fold_tree(ctx.ast().root));
+  }
 };
 
 }  // namespace

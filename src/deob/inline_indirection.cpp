@@ -1,6 +1,8 @@
 // inline-indirection: undoes data- and call-indirection layers.
 //
-// Four sub-steps, each recomputing scope analysis over the current tree:
+// Four sub-steps, run in order. The first three read scope analysis: the
+// run's PassContext computes it once and recomputes it only after a sub-step
+// has reported a change to the tree.
 //
 //   1. un-hoist single-use temporaries — inverts hoist_call_args: a
 //      `var t = <expr>;` whose only other reference sits in the immediately
@@ -48,8 +50,7 @@ using js::LiteralType;
 using js::Node;
 using js::NodeKind;
 
-int unhoist_temps(js::Ast& ast) {
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
+int unhoist_temps(js::Ast& ast, const ScopeInfo& scopes) {
   int changes = 0;
 
   for (js::ChildList* list : detail::all_statement_lists(ast.root)) {
@@ -276,9 +277,8 @@ const Symbol* global_symbol(const ScopeInfo& scopes, std::string_view name,
   return nullptr;
 }
 
-int inline_decoders(js::Ast& ast) {
+int inline_decoders(js::Ast& ast, const ScopeInfo& scopes) {
   js::AstArena& arena = ast.arena;
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
 
   std::vector<DecoderShape> decoders;
   std::unordered_map<std::string, ArrayShape> arrays;
@@ -396,9 +396,8 @@ int inline_decoders(js::Ast& ast) {
 // Literal / identifier array inlining.
 // ---------------------------------------------------------------------------
 
-int inline_literal_arrays(js::Ast& ast) {
+int inline_literal_arrays(js::Ast& ast, const ScopeInfo& scopes) {
   js::AstArena& arena = ast.arena;
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
 
   // Name uniqueness map: an identifier element may only be inlined when no
   // second symbol anywhere shares its name (no shadowing to mis-bind).
@@ -534,16 +533,12 @@ class InlineIndirectionPass final : public Pass {
     return "inline-indirection";
   }
 
-  int run(js::Ast& ast) override {
-    int changes = 0;
-    const auto step = [&ast, &changes](int c) {
-      if (c > 0) js::finalize_tree(ast.root);
-      changes += c;
-    };
-    step(unhoist_temps(ast));
-    step(inline_decoders(ast));
-    step(inline_literal_arrays(ast));
-    step(flatten_applies(ast));
+  int run(PassContext& ctx) const override {
+    js::Ast& ast = ctx.ast();
+    int changes = ctx.changed(unhoist_temps(ast, ctx.scopes()));
+    changes += ctx.changed(inline_decoders(ast, ctx.scopes()));
+    changes += ctx.changed(inline_literal_arrays(ast, ctx.scopes()));
+    changes += ctx.changed(flatten_applies(ast));
     return changes;
   }
 };

@@ -1,4 +1,5 @@
-// The fixpoint pass-manager and the whole-source convenience wrapper.
+// The per-run PassContext, the fixpoint pass-manager and the whole-source
+// convenience wrapper.
 #include <utility>
 
 #include "deob/deob.h"
@@ -20,6 +21,26 @@ std::vector<std::unique_ptr<Pass>> default_passes() {
   return passes;
 }
 
+PassContext::PassContext(js::Ast& ast) : ast_(ast) {
+  js::finalize_tree(ast_.root);
+}
+
+const analysis::ScopeInfo& PassContext::scopes() {
+  if (!scopes_) {
+    scopes_.emplace(analysis::analyze_scopes(ast_.root));
+    ++scope_analyses_;
+  }
+  return *scopes_;
+}
+
+int PassContext::changed(int c) {
+  if (c > 0) {
+    scopes_.reset();  // before anything can build the next one
+    js::finalize_tree(ast_.root);
+  }
+  return c;
+}
+
 Deobfuscator::Deobfuscator(DeobOptions opts)
     : Deobfuscator(default_passes(), opts) {}
 
@@ -37,6 +58,8 @@ PipelineResult Deobfuscator::run(js::Ast& ast) const {
       obs::metrics().counter("deob.fixpoint_reached");
   static obs::Counter* const cap_hits =
       obs::metrics().counter("deob.iteration_cap_hits");
+  static obs::Counter* const scope_analyses =
+      obs::metrics().counter("deob.scope_analyses");
 
   PipelineResult result;
   result.per_pass.reserve(passes_.size());
@@ -49,14 +72,14 @@ PipelineResult Deobfuscator::run(js::Ast& ast) const {
   }
 
   runs->add();
-  js::finalize_tree(ast.root);
+  PassContext ctx(ast);
   const int cap = opts_.max_iterations > 0 ? opts_.max_iterations : 1;
   for (int iter = 0; iter < cap; ++iter) {
     ++result.iterations;
     iterations->add();
     int iteration_changes = 0;
     for (std::size_t i = 0; i < passes_.size(); ++i) {
-      const int c = passes_[i]->run(ast);
+      const int c = passes_[i]->run(ctx);
       result.per_pass[i].changes += c;
       result.total_changes += c;
       iteration_changes += c;
@@ -68,6 +91,8 @@ PipelineResult Deobfuscator::run(js::Ast& ast) const {
     }
   }
   (result.reached_fixpoint ? fixpoints : cap_hits)->add();
+  result.scope_analyses = ctx.scope_analyses();
+  scope_analyses->add(static_cast<std::uint64_t>(result.scope_analyses));
   return result;
 }
 

@@ -1,6 +1,7 @@
 // prune-dead: dead-code and opaque-predicate elimination.
 //
-// Four sub-steps per run (each re-finalizing when it changed the tree):
+// Four sub-steps per run, each reporting its changes to the run's
+// PassContext (which refinalizes the tree and drops its scope analysis):
 //
 //   1. constant branches — `if (<const>)` / `while (<const-false>)` where the
 //      test is a literal or a single-write binding initialized to a literal
@@ -106,9 +107,8 @@ Node* hoist_guard(const Node* removed, const ScopeInfo& scopes,
 // 1. Constant branches.
 // ---------------------------------------------------------------------------
 
-int fold_const_branches(js::Ast& ast) {
+int fold_const_branches(js::Ast& ast, const ScopeInfo& scopes) {
   js::AstArena& arena = ast.arena;
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
 
   // Dataflow-const bindings: written exactly once, by their declarator, with
   // a literal initializer. The declarator id is kept so uses that precede
@@ -187,7 +187,7 @@ int fold_const_branches(js::Ast& ast) {
 // 2. CFG-unreachable statements.
 // ---------------------------------------------------------------------------
 
-int remove_unreachable(js::Ast& ast) {
+int remove_unreachable(js::Ast& ast, const ScopeInfo& scopes) {
   const std::vector<analysis::Cfg> cfgs = analysis::build_all_cfgs(ast.root);
   std::unordered_set<const Node*> reachable;
   for (const analysis::Cfg& cfg : cfgs) {
@@ -207,7 +207,6 @@ int remove_unreachable(js::Ast& ast) {
     }
   }
 
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
   int changes = 0;
   for (js::ChildList* list : detail::all_statement_lists(ast.root)) {
     std::vector<Node*> out;
@@ -241,8 +240,7 @@ int remove_unreachable(js::Ast& ast) {
 // 3. Unused declarations.
 // ---------------------------------------------------------------------------
 
-int remove_unused_decls(js::Ast& ast) {
-  const ScopeInfo scopes = analysis::analyze_scopes(ast.root);
+int remove_unused_decls(js::Ast& ast, const ScopeInfo& scopes) {
 
   // A function declaration is removable only when NO symbol of that name is
   // referenced anywhere — shadowing-blind by design, which is safe (a
@@ -330,16 +328,12 @@ class PruneDeadPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "prune-dead"; }
 
-  int run(js::Ast& ast) override {
-    int changes = 0;
-    const auto step = [&ast, &changes](int c) {
-      if (c > 0) js::finalize_tree(ast.root);
-      changes += c;
-    };
-    step(fold_const_branches(ast));
-    step(remove_unreachable(ast));
-    step(remove_unused_decls(ast));
-    step(cleanup_lists(ast));
+  int run(PassContext& ctx) const override {
+    js::Ast& ast = ctx.ast();
+    int changes = ctx.changed(fold_const_branches(ast, ctx.scopes()));
+    changes += ctx.changed(remove_unreachable(ast, ctx.scopes()));
+    changes += ctx.changed(remove_unused_decls(ast, ctx.scopes()));
+    changes += ctx.changed(cleanup_lists(ast));
     return changes;
   }
 };

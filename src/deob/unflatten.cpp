@@ -152,7 +152,8 @@ class UnflattenPass final : public Pass {
  public:
   std::string_view name() const noexcept override { return "unflatten"; }
 
-  int run(js::Ast& ast) override {
+  int run(PassContext& ctx) const override {
+    js::Ast& ast = ctx.ast();
     int changes = 0;
     for (js::ChildList* list : detail::function_body_lists(ast.root)) {
       std::vector<Node*> v(list->begin(), list->end());
@@ -185,8 +186,7 @@ class UnflattenPass final : public Pass {
       }
       if (list_changed) *list = v;
     }
-    if (changes > 0) js::finalize_tree(ast.root);
-    return changes;
+    return ctx.changed(changes);
   }
 
  private:

@@ -259,10 +259,14 @@ TEST(JsRevealerConfig, SseCurveMonotonicallyDecreasing) {
   cfg.embed_epochs = 5;
   cfg.cluster_sample_per_class = 400;
   JsRevealer det(cfg);
-  const auto sse = det.sse_curve(corpus, /*label=*/0, 2, 8);
-  ASSERT_EQ(sse.size(), 7u);
-  for (std::size_t i = 1; i < sse.size(); ++i) {
-    EXPECT_LE(sse[i], sse[i - 1] * 1.05) << "k=" << (2 + i);
+  const auto curves = det.sse_curves(corpus, 2, 8);
+  for (std::size_t label = 0; label < curves.size(); ++label) {
+    const std::vector<double>& sse = curves[label];
+    ASSERT_EQ(sse.size(), 7u) << "label=" << label;
+    for (std::size_t i = 1; i < sse.size(); ++i) {
+      EXPECT_LE(sse[i], sse[i - 1] * 1.05)
+          << "label=" << label << " k=" << (2 + i);
+    }
   }
 }
 

@@ -1,16 +1,22 @@
 // Unit and edge-case tests for the src/deob passes: printer-round-trip
 // corner cases of constant folding (-0, Infinity), pattern bail-outs
 // (decoder read before rotation, free break/continue inside flattened case
-// bodies), and pinned per-pass normal forms (fingerprint regressions).
+// bodies), pinned per-pass normal forms (fingerprint regressions), and one
+// Deobfuscator shared across threads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "dataset/generator.h"
 #include "deob/deob.h"
 #include "js/ast_compare.h"
 #include "js/parser.h"
 #include "js/printer.h"
+#include "obfuscators/obfuscator.h"
+#include "util/thread_pool.h"
 
 namespace jsrev::deob {
 namespace {
@@ -21,12 +27,13 @@ struct PassRun {
   std::uint64_t fingerprint = 0;
 };
 
-/// Parses `source`, runs one pass over it once, and reports the result.
+/// Parses `source`, runs one pass over it once in a fresh PassContext, and
+/// reports the result.
 PassRun run_pass(std::unique_ptr<Pass> pass, const std::string& source) {
   js::Ast ast = js::parse(source);
-  js::finalize_tree(ast.root);
+  PassContext ctx(ast);
   PassRun out;
-  out.changes = pass->run(ast);
+  out.changes = pass->run(ctx);
   out.printed = js::print(ast.root, js::PrintStyle::kPretty);
   out.fingerprint = js::ast_fingerprint(ast.root);
   return out;
@@ -282,6 +289,46 @@ TEST(DeobNormalForm, UnparseableInputIsReturnedVerbatim) {
   EXPECT_FALSE(r.parse_ok);
   EXPECT_FALSE(r.error.empty());
   EXPECT_EQ(r.source, "function (");
+}
+
+// ---------------------------------------------------------------------------
+// Thread compatibility.
+// ---------------------------------------------------------------------------
+
+TEST(DeobThreads, SharedDeobfuscatorMatchesSerialRun) {
+  // The generator corpus, plain and through each obfuscator model.
+  dataset::GeneratorConfig gc;
+  gc.seed = 20230817;
+  gc.benign_count = 100;
+  gc.malicious_count = 100;
+  gc.apply_wild_obfuscation = false;
+  std::vector<std::string> inputs;
+  for (const auto& s : dataset::generate_corpus(gc).samples) {
+    inputs.push_back(s.source);
+  }
+  const std::size_t plain = inputs.size();
+  for (const obf::ObfuscatorKind kind : obf::kAllObfuscators) {
+    const auto obfuscator = obf::make_obfuscator(kind);
+    for (std::size_t i = 0; i < plain; ++i) {
+      inputs.push_back(obfuscator->obfuscate(
+          inputs[i], 0x9e3779b9u + static_cast<std::uint32_t>(i)));
+    }
+  }
+
+  const Deobfuscator deob;
+  const auto normal_form = [&deob, &inputs](std::size_t i) {
+    js::Ast ast = js::parse(inputs[i]);
+    deob.run(ast);
+    return js::ast_fingerprint(ast.root);
+  };
+  std::vector<std::uint64_t> serial(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) serial[i] = normal_form(i);
+  std::vector<std::uint64_t> shared(inputs.size());
+  parallel_for_threads(4, inputs.size(),
+                       [&](std::size_t i) { shared[i] = normal_form(i); });
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(shared[i], serial[i]) << "input " << i;
+  }
 }
 
 }  // namespace

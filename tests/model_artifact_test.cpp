@@ -516,6 +516,35 @@ TEST_F(ArtifactFixture, ResealedForestCycleIsRejected) {
   EXPECT_FALSE(reseal_and_attach(std::move(bytes)));
 }
 
+// FNV-1a of save_artifact() for a deob + lint-feature model in the serving
+// benchmark's large-file configuration (perfbench/workloads.cpp: seed 2023,
+// 30 generator scripts per class, Config defaults otherwise), pinned before
+// the deobfuscator memoized its scope analysis. Training normalizes every
+// script through the pipeline, so the artifact covers its output.
+constexpr std::uint64_t kPinnedDeobLintArtifactDigest = 0xde29397acdbe438bULL;
+
+TEST(DeobLintArtifact, BytesMatchPinnedDigestAtEveryWidth) {
+  dataset::GeneratorConfig gc;
+  gc.seed = 2023;
+  gc.benign_count = 30;
+  gc.malicious_count = 30;
+  const dataset::Corpus train = dataset::generate_corpus(gc);
+  for (const std::size_t threads : {1, 2, 8}) {
+    core::Config cfg;
+    cfg.seed = 2023;
+    cfg.threads = threads;
+    cfg.deobfuscate = true;
+    cfg.lint_features = true;
+    core::JsRevealer detector(cfg);
+    detector.train(train);
+    const std::vector<std::uint8_t> bytes = detector.save_artifact();
+    const std::uint64_t digest = fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    EXPECT_EQ(digest, kPinnedDeobLintArtifactDigest)
+        << "threads=" << threads << std::hex << " digest=0x" << digest;
+  }
+}
+
 TEST(ModelViewApi, UnloadedViewIsSafe) {
   core::ModelView view;
   EXPECT_FALSE(view.loaded());

@@ -47,13 +47,15 @@ void print_stats(const std::string& name,
                 name.c_str(), r.error.c_str());
     return;
   }
-  std::printf("%s: %d iteration%s (%s), %d change%s, nodes %d -> %d\n",
-              name.c_str(), r.pipeline.iterations,
-              r.pipeline.iterations == 1 ? "" : "s",
-              r.pipeline.reached_fixpoint ? "fixpoint" : "iteration cap",
-              r.pipeline.total_changes,
-              r.pipeline.total_changes == 1 ? "" : "s", r.nodes_before,
-              r.nodes_after);
+  std::printf(
+      "%s: %d iteration%s (%s), %d change%s, %d scope analys%s, "
+      "nodes %d -> %d\n",
+      name.c_str(), r.pipeline.iterations,
+      r.pipeline.iterations == 1 ? "" : "s",
+      r.pipeline.reached_fixpoint ? "fixpoint" : "iteration cap",
+      r.pipeline.total_changes, r.pipeline.total_changes == 1 ? "" : "s",
+      r.pipeline.scope_analyses, r.pipeline.scope_analyses == 1 ? "is" : "es",
+      r.nodes_before, r.nodes_after);
   for (const auto& p : r.pipeline.per_pass) {
     std::printf("  %-20s %d\n", p.pass.c_str(), p.changes);
   }
@@ -70,6 +72,7 @@ void write_json(jsrev::obs::JsonWriter& w, const std::string& name,
     w.kv("iterations", r.pipeline.iterations);
     w.kv("reached_fixpoint", r.pipeline.reached_fixpoint);
     w.kv("total_changes", r.pipeline.total_changes);
+    w.kv("scope_analyses", r.pipeline.scope_analyses);
     w.key("pass_changes").begin_object();
     for (const auto& p : r.pipeline.per_pass) w.kv(p.pass, p.changes);
     w.end_object();

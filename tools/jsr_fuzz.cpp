@@ -16,7 +16,11 @@
 //   O4 lint-total: Linter::lint never throws, parse failure included, and
 //      its parse-failed flag agrees with the direct parse outcome;
 //   O5 deob: for input that parses, deobfuscate_source never throws, its
-//      output parses, and a second run is a no-op fixpoint (idempotence).
+//      output parses, and a second run is a no-op fixpoint (idempotence)
+//      that computes exactly one scope analysis. Each pass also runs once on
+//      a fresh parse: one that reports zero changes must leave the tree's
+//      fingerprint unchanged (the invariant deob::PassContext's cached scope
+//      analysis rests on).
 //      Before the mutation loop a verdict sweep additionally checks that a
 //      small JsRevealer running behind Config::deobfuscate classifies
 //      obf(s) exactly like s for clean generator seeds.
@@ -113,6 +117,7 @@ struct Stats {
   std::uint64_t o3_checked = 0;
   std::uint64_t o5_checked = 0;
   std::uint64_t o5_verdicts = 0;
+  std::uint64_t o5_pass_checks = 0;  // zero-change pass runs compared
   std::uint64_t o6_checked = 0;
   std::uint64_t o7_checked = 0;  // (input, path config) pairs
   std::uint64_t o7_paths = 0;    // paths compared
@@ -131,6 +136,7 @@ struct Stats {
     reg.counter("fuzz.oracle.obfuscate_checked")->add(o3_checked);
     reg.counter("fuzz.oracle.deob_checked")->add(o5_checked);
     reg.counter("fuzz.oracle.deob_verdicts_checked")->add(o5_verdicts);
+    reg.counter("fuzz.oracle.deob_pass_checked")->add(o5_pass_checks);
     reg.counter("fuzz.oracle.artifact_checked")->add(o6_checked);
     reg.counter("fuzz.oracle.paths_checked")->add(o7_checked);
     reg.counter("fuzz.findings")->add(failures);
@@ -417,6 +423,26 @@ std::vector<std::uint8_t> run_artifact_sweep(const Options& opt,
   return artifact;
 }
 
+/// O5's pass leg: each pass once on a fresh parse of `input`. A pass that
+/// reports zero changes must leave the tree's fingerprint as it was.
+void check_passes(const std::string& input, const js::ParseLimits& limits,
+                  const std::vector<std::unique_ptr<deob::Pass>>& passes,
+                  Stats& stats) {
+  for (const auto& pass : passes) {
+    js::Ast ast = js::parse(input, limits);
+    deob::PassContext ctx(ast);
+    const std::uint64_t before = js::ast_fingerprint(ast.root);
+    if (pass->run(ctx) != 0) continue;
+    ++stats.o5_pass_checks;
+    if (js::ast_fingerprint(ast.root) != before) {
+      report_failure(stats, "O5-deob-pass",
+                     std::string(pass->name()) +
+                         " reported no change but changed the tree",
+                     input);
+    }
+  }
+}
+
 /// O7 over one parsed input: streamed path keys agree with rendered ones,
 /// and the enumeration's cost stays linear.
 void check_paths(const std::string& input, const js::ParseLimits& limits,
@@ -481,6 +507,8 @@ int run(const Options& opt) {
     obfuscators.push_back(obf::make_obfuscator(kind));
   }
   const lint::Linter linter;
+  const std::vector<std::unique_ptr<deob::Pass>> passes =
+      deob::default_passes();
   const js::ParseLimits limits;  // library defaults — what production sees
   Stats stats;
   Timer wall;
@@ -587,8 +615,16 @@ int run(const Options& opt) {
                                " changes); normalized: " +
                                printable(once.source),
                            input);
+          } else if (twice.pipeline.scope_analyses != 1) {
+            report_failure(stats, "O5-deob",
+                           "second run computed " +
+                               std::to_string(twice.pipeline.scope_analyses) +
+                               " scope analyses, not 1; normalized: " +
+                               printable(once.source),
+                           input);
           }
         }
+        check_passes(input, limits, passes, stats);
       } catch (const std::exception& e) {
         report_failure(stats, "O5-deob",
                        std::string("deobfuscate_source threw: ") + e.what(),
@@ -626,7 +662,8 @@ int run(const Options& opt) {
   const double rate = secs > 0 ? static_cast<double>(stats.execs) / secs : 0;
   std::printf(
       "jsr_fuzz: seed=%llu iters=%llu corpus=%zu | %llu parse-ok, "
-      "%llu parse-fail | O2 on %llu, O3 on %llu, O5 on %llu (+%llu verdicts) "
+      "%llu parse-fail | O2 on %llu, O3 on %llu, O5 on %llu (+%llu verdicts, "
+      "%llu pass checks) "
       "| O6 on %llu | O7 on %llu (%llu paths, <= %.2f steps each) | %.2fs "
       "(%.0f execs/s) | %llu findings\n",
       static_cast<unsigned long long>(opt.seed),
@@ -637,6 +674,7 @@ int run(const Options& opt) {
       static_cast<unsigned long long>(stats.o3_checked),
       static_cast<unsigned long long>(stats.o5_checked),
       static_cast<unsigned long long>(stats.o5_verdicts),
+      static_cast<unsigned long long>(stats.o5_pass_checks),
       static_cast<unsigned long long>(stats.o6_checked),
       static_cast<unsigned long long>(stats.o7_checked),
       static_cast<unsigned long long>(stats.o7_paths), stats.o7_max_steps,
@@ -657,6 +695,7 @@ int run(const Options& opt) {
         .kv("obfuscate_checked", stats.o3_checked)
         .kv("deob_checked", stats.o5_checked)
         .kv("deob_verdicts_checked", stats.o5_verdicts)
+        .kv("deob_pass_checked", stats.o5_pass_checks)
         .kv("artifact_checked", stats.o6_checked)
         .kv("paths_checked", stats.o7_checked)
         .kv("paths_compared", stats.o7_paths)
